@@ -68,15 +68,19 @@ class ProcessGeoparser:
     """Drives one resident child process over the stdin/stdout line protocol.
 
     Each instance owns its child; use one instance per worker thread for
-    concurrent dispatch.
+    concurrent dispatch. After a timeout or a protocol error the child is
+    replaced by a fresh one, so a late answer cannot reach a later document.
     """
 
     def __init__(self, command: list[str], timeout: float = DEFAULT_TIMEOUT):
         self.command = command
         self.timeout = timeout
+        self._start()
+
+    def _start(self) -> None:
         try:
             self._proc = subprocess.Popen(
-                command,
+                self.command,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 text=True,
@@ -84,17 +88,28 @@ class ProcessGeoparser:
                 bufsize=1,
             )
         except OSError as exc:
-            raise AdapterError(f"cannot start external geoparser {command!r}: {exc}") from exc
+            raise AdapterError(f"cannot start external geoparser {self.command!r}: {exc}") from exc
+        # each child gets its own queue, so lines from a killed child are never read
         self._lines: queue.Queue = queue.Queue()
-        self._reader = threading.Thread(target=self._pump, daemon=True)
-        self._reader.start()
+        threading.Thread(target=self._pump, args=(self._proc.stdout, self._lines), daemon=True).start()
 
-    def _pump(self):
-        for line in self._proc.stdout:
-            self._lines.put(line)
-        self._lines.put(None)  # EOF sentinel
+    @staticmethod
+    def _pump(stdout, lines: queue.Queue):
+        with stdout:
+            for line in stdout:
+                lines.put(line)
+        lines.put(None)  # EOF sentinel
 
     def parse_document(self, document: Document) -> tuple[list[PredictedToponym], int]:
+        try:
+            return self._exchange(document)
+        except (AdapterTimeout, AdapterProtocolError):
+            self._proc.kill()
+            self.close()
+            self._start()
+            raise
+
+    def _exchange(self, document: Document) -> tuple[list[PredictedToponym], int]:
         try:
             self._proc.stdin.write(_request_line(document) + "\n")
             self._proc.stdin.flush()
@@ -113,20 +128,19 @@ class ProcessGeoparser:
         return parse_response(document, payload, line)
 
     def close(self) -> None:
-        if self._proc.poll() is None:
+        try:
+            self._proc.stdin.close()
+        except OSError:
+            pass
+        try:
+            self._proc.wait(timeout=0.5)
+        except subprocess.TimeoutExpired:
+            self._proc.terminate()
             try:
-                self._proc.stdin.close()
-            except OSError:
-                pass
-            try:
-                self._proc.wait(timeout=0.5)
+                self._proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
-                self._proc.terminate()
-                try:
-                    self._proc.wait(timeout=5)
-                except subprocess.TimeoutExpired:
-                    self._proc.kill()
-                    self._proc.wait()
+                self._proc.kill()
+                self._proc.wait()
 
 
 class HttpGeoparser:

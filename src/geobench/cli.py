@@ -69,6 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="print one corpus leaderboard as text")
     p.add_argument("--run-dir", required=True)
     p.add_argument("--corpus", required=True)
+    p.set_defaults(format="text")  # the same as report --format text --corpus
     return parser
 
 
@@ -161,21 +162,12 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _cmd_compare(args) -> int:
-    boards = load_leaderboards(args.run_dir)
-    if args.corpus not in boards:
-        raise RunConfigError(f"no leaderboard for corpus {args.corpus!r} in {args.run_dir}")
-    sys.stdout.buffer.write(render_report(boards[args.corpus], "text"))
-    sys.stdout.buffer.flush()
-    return EXIT_OK
-
-
 _COMMANDS = {
     "ingest": _cmd_ingest,
     "gazetteer": _cmd_gazetteer,
     "run": _cmd_run,
     "report": _cmd_report,
-    "compare": _cmd_compare,
+    "compare": _cmd_report,
 }
 
 

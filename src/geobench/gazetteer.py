@@ -162,18 +162,12 @@ def _check_schema(schema) -> dict:
     return schema
 
 
-def ingest_gazetteer(
-    path: str | Path, schema="geonames", fold_diacritics: bool = False
-) -> tuple[Gazetteer, IngestStats]:
-    """Ingest a tab-separated place table.
+def _rows(lines, cols: dict, stats: IngestStats):
+    """Parse tab-separated place rows, yielding one GazetteerEntry per valid row.
 
-    `schema` is "geonames" for the 19-column GeoNames layout or a dict of
-    zero-based column indices with at least id/name/lat/lon (optional:
-    alternates, population, feature_class, feature_code, country). Rows
-    violating field constraints are skipped and tallied in the returned
-    IngestStats, not fatal; an unreadable file or zero valid rows is.
+    Invalid rows are skipped and tallied in `stats`; duplicate ids are left
+    to the caller.
     """
-    cols = _check_schema(schema)
     id_c, name_c = cols["id"], cols["name"]
     lat_c, lon_c = cols["lat"], cols["lon"]
     alt_c = cols.get("alternates")
@@ -182,7 +176,68 @@ def ingest_gazetteer(
     fco_c = cols.get("feature_code")
     cty_c = cols.get("country")
     max_col = max(c for c in cols.values())
+    for line in lines:
+        stats.rows_read += 1
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) <= max_col:
+            stats.skip("short row")
+            continue
+        try:
+            entry_id = int(parts[id_c])
+        except ValueError:
+            stats.skip("bad id")
+            continue
+        name = parts[name_c].strip()
+        if not name:
+            stats.skip("empty name")
+            continue
+        try:
+            lat = float(parts[lat_c])
+            lon = float(parts[lon_c])
+        except ValueError:
+            stats.skip("bad coordinate")
+            continue
+        if not (math.isfinite(lat) and math.isfinite(lon) and -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+            stats.skip("coordinate out of range")
+            continue
+        population = 0
+        if pop_c is not None and parts[pop_c]:
+            try:
+                population = int(parts[pop_c])
+            except ValueError:
+                stats.skip("bad population")
+                continue
+            if population < 0:
+                stats.skip("bad population")
+                continue
+        alternates = ()
+        if alt_c is not None and parts[alt_c]:
+            alternates = tuple(a.strip() for a in parts[alt_c].split(",") if a.strip())
+        yield GazetteerEntry(
+            id=entry_id,
+            primary_name=name,
+            alternate_names=alternates,
+            point=GeoPoint(lat, lon),
+            feature_class=parts[fcl_c].strip() if fcl_c is not None else "",
+            feature_code=parts[fco_c].strip() if fco_c is not None else "",
+            population=population,
+            country=parts[cty_c].strip() if cty_c is not None else "",
+        )
 
+
+def ingest_gazetteer(
+    path: str | Path, schema="geonames", fold_diacritics: bool = False
+) -> tuple[Gazetteer, IngestStats]:
+    """Ingest a tab-separated place table.
+
+    `schema` is "geonames" for the 19-column GeoNames layout or a dict of
+    zero-based column indices with at least id/name/lat/lon (optional:
+    alternates, population, feature_class, feature_code, country). Rows
+    violating field constraints, and later rows repeating an id, are
+    skipped and tallied in the returned IngestStats, not fatal; an
+    unreadable file or zero valid rows is.
+    """
+    cols = _check_schema(schema)
     stats = IngestStats()
     entries: list[GazetteerEntry] = []
     seen_ids: set[int] = set()
@@ -191,95 +246,61 @@ def ingest_gazetteer(
     except OSError as exc:
         raise GazetteerError(f"cannot read gazetteer file {path}: {exc}") from exc
     with fh:
-        for line in fh:
-            stats.rows_read += 1
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) <= max_col:
-                stats.skip("short row")
-                continue
-            try:
-                entry_id = int(parts[id_c])
-            except ValueError:
-                stats.skip("bad id")
-                continue
-            if entry_id in seen_ids:
+        for entry in _rows(fh, cols, stats):
+            if entry.id in seen_ids:
                 stats.skip("duplicate id")
                 continue
-            name = parts[name_c].strip()
-            if not name:
-                stats.skip("empty name")
-                continue
-            try:
-                lat = float(parts[lat_c])
-                lon = float(parts[lon_c])
-            except ValueError:
-                stats.skip("bad coordinate")
-                continue
-            if not (math.isfinite(lat) and math.isfinite(lon) and -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-                stats.skip("coordinate out of range")
-                continue
-            population = 0
-            if pop_c is not None and parts[pop_c]:
-                try:
-                    population = int(parts[pop_c])
-                except ValueError:
-                    stats.skip("bad population")
-                    continue
-                if population < 0:
-                    stats.skip("bad population")
-                    continue
-            alternates = ()
-            if alt_c is not None and parts[alt_c]:
-                alternates = tuple(a.strip() for a in parts[alt_c].split(",") if a.strip())
-            seen_ids.add(entry_id)
-            entries.append(
-                GazetteerEntry(
-                    id=entry_id,
-                    primary_name=name,
-                    alternate_names=alternates,
-                    point=GeoPoint(lat, lon),
-                    feature_class=parts[fcl_c].strip() if fcl_c is not None else "",
-                    feature_code=parts[fco_c].strip() if fco_c is not None else "",
-                    population=population,
-                    country=parts[cty_c].strip() if cty_c is not None else "",
-                )
-            )
-            stats.rows_ingested += 1
+            seen_ids.add(entry.id)
+            entries.append(entry)
+    stats.rows_ingested = len(entries)
     if not entries:
         raise GazetteerError(f"no valid rows in gazetteer file {path}")
     return Gazetteer.from_entries(entries, fold_diacritics), stats
 
 
+# A saved index is this JSON header line followed by one GeoNames-layout row
+# per entry; an index without the layout marker predates that layout.
+_INDEX_HEADER = {"format": "geobench-index", "layout": "geonames-rows"}
+
+
+def _geonames_row(e: GazetteerEntry) -> str:
+    cols = [""] * 19
+    cols[GEONAMES_COLUMNS["id"]] = str(e.id)
+    cols[GEONAMES_COLUMNS["name"]] = e.primary_name
+    cols[GEONAMES_COLUMNS["alternates"]] = ",".join(e.alternate_names)
+    cols[GEONAMES_COLUMNS["lat"]] = repr(e.point.lat)
+    cols[GEONAMES_COLUMNS["lon"]] = repr(e.point.lon)
+    cols[GEONAMES_COLUMNS["feature_class"]] = e.feature_class
+    cols[GEONAMES_COLUMNS["feature_code"]] = e.feature_code
+    cols[GEONAMES_COLUMNS["country"]] = e.country
+    cols[GEONAMES_COLUMNS["population"]] = str(e.population)
+    return "\t".join(cols) + "\n"
+
+
 def save_index(gazetteer: Gazetteer, path: str | Path) -> None:
-    """Write a built gazetteer to a JSON-lines file reloadable by load_index."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"format": "geobench-index", "fold_diacritics": gazetteer.fold_diacritics}) + "\n")
-        for entry_id in sorted(gazetteer.entries):
-            e = gazetteer.entries[entry_id]
-            fh.write(
-                json.dumps(
-                    {
-                        "id": e.id,
-                        "name": e.primary_name,
-                        "alternates": list(e.alternate_names),
-                        "lat": e.point.lat,
-                        "lon": e.point.lon,
-                        "feature_class": e.feature_class,
-                        "feature_code": e.feature_code,
-                        "population": e.population,
-                        "country": e.country,
-                    },
-                    ensure_ascii=False,
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    """Write a built gazetteer to an index file reloadable by load_index.
+
+    Raises GazetteerError, naming the entry, if an entry would not read
+    back equal to itself (say, a name with a tab or an alternate name with
+    a comma).
+    """
+    stats = IngestStats()
+    rows = []  # all checked before the file is opened, so a refused entry leaves no partial index
+    for entry_id in sorted(gazetteer.entries):
+        entry = gazetteer.entries[entry_id]
+        row = _geonames_row(entry)
+        if row.count("\n") != 1 or list(_rows([row], GEONAMES_COLUMNS, stats)) != [entry]:
+            raise GazetteerError(f"entry {entry_id} cannot be saved: its fields do not survive a GeoNames row")
+        rows.append(row)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps({**_INDEX_HEADER, "fold_diacritics": gazetteer.fold_diacritics}) + "\n")
+        fh.writelines(rows)
 
 
 def load_index(path: str | Path) -> Gazetteer:
     """Reload a gazetteer written by save_index."""
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, encoding="utf-8", newline="\n")
     except OSError as exc:
         raise GazetteerError(f"cannot read index file {path}: {exc}") from exc
     with fh:
@@ -287,28 +308,17 @@ def load_index(path: str | Path) -> Gazetteer:
             header = json.loads(fh.readline())
         except json.JSONDecodeError as exc:
             raise GazetteerError(f"malformed index header in {path}: {exc}") from None
-        if not isinstance(header, dict) or header.get("format") != "geobench-index":
+        if not isinstance(header, dict) or header.get("format") != _INDEX_HEADER["format"]:
             raise GazetteerError(f"{path} is not a saved gazetteer index")
-        entries = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-                entries.append(
-                    GazetteerEntry(
-                        id=int(raw["id"]),
-                        primary_name=raw["name"],
-                        alternate_names=tuple(raw.get("alternates", ())),
-                        point=GeoPoint(float(raw["lat"]), float(raw["lon"])),
-                        feature_class=raw.get("feature_class", ""),
-                        feature_code=raw.get("feature_code", ""),
-                        population=int(raw.get("population", 0)),
-                        country=raw.get("country", ""),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise GazetteerError(f"{path}:{lineno}: malformed index entry: {exc}") from None
+        if header.get("layout") != _INDEX_HEADER["layout"]:
+            raise GazetteerError(
+                f"{path} is a gazetteer index in an older layout; rebuild it with `geobench gazetteer --out-index`"
+            )
+        stats = IngestStats()
+        # a list before from_entries: interleaving parsing with index building slows garbage collection
+        entries = list(_rows(fh, GEONAMES_COLUMNS, stats))
+    if stats.rows_skipped:
+        raise GazetteerError(f"{path}: {stats.rows_skipped} malformed index rows {stats.skip_reasons}")
     if not entries:
         raise GazetteerError(f"no entries in index file {path}")
     return Gazetteer.from_entries(entries, header.get("fold_diacritics", False))

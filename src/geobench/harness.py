@@ -149,7 +149,9 @@ def _safe_name(name: str) -> str:
 
 
 def _cache_path(cache_dir, spec: GeoparserSpec, corpus: Corpus, gazetteer: Gazetteer | None) -> Path:
+    # keyed on everything predictions depend on: the spec, the corpus and (builtin only) the gazetteer
     h = hashlib.sha256()
+    h.update(json.dumps([spec.kind, spec.parameters], sort_keys=True).encode())
     h.update(corpus_digest(corpus).encode())
     if spec.kind == "builtin-baseline" and gazetteer is not None:
         h.update(gazetteer.digest().encode())
@@ -172,9 +174,11 @@ def cache_predictions(
     predictions: dict[str, list[PredictedToponym]],
     cache_dir: str | Path,
     gazetteer: Gazetteer | None = None,
+    *,
+    path: Path | None = None,
 ) -> Path:
-    """Store per-document predictions in adapter-response format, atomically."""
-    path = _cache_path(cache_dir, spec, corpus, gazetteer)
+    """Store per-document predictions in adapter-response format, atomically (at `path` if given)."""
+    path = path or _cache_path(cache_dir, spec, corpus, gazetteer)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
@@ -200,9 +204,11 @@ def load_cached(
     cache_dir: str | Path,
     gazetteer: Gazetteer | None = None,
     warnings: list[str] | None = None,
+    *,
+    path: Path | None = None,
 ) -> dict[str, list[PredictedToponym]] | None:
-    """Reload cached predictions, or None on a miss or a corrupt entry."""
-    path = _cache_path(cache_dir, spec, corpus, gazetteer)
+    """Reload cached predictions (from `path` if given), or None on a miss or a corrupt entry."""
+    path = path or _cache_path(cache_dir, spec, corpus, gazetteer)
     if not path.exists():
         return None
     texts = {doc.id: doc.text for doc in corpus.documents}
@@ -290,9 +296,10 @@ def evaluate(
     config = config or MetricsConfig()
     warnings: list[str] = []
 
-    predictions = None
+    predictions = cache_path = None
     if cache_dir is not None:
-        predictions = load_cached(spec, corpus, cache_dir, gazetteer, warnings)
+        cache_path = _cache_path(cache_dir, spec, corpus, gazetteer)  # hashes the corpus once per evaluation
+        predictions = load_cached(spec, corpus, cache_dir, gazetteer, warnings, path=cache_path)
     if predictions is None:
         results = _parse_all(spec, corpus, gazetteer, workers)
         failed = sorted(doc_id for doc_id, (_, _, err) in results.items() if err is not None)
@@ -310,7 +317,7 @@ def evaluate(
             warnings.append(f"{dropped_total} invalid predictions dropped")
         predictions = {doc_id: preds for doc_id, (preds, _, _) in results.items()}
         if cache_dir is not None and not failed:
-            cache_predictions(spec, corpus, predictions, cache_dir, gazetteer)
+            cache_predictions(spec, corpus, predictions, cache_dir, gazetteer, path=cache_path)
 
     gold_total = pred_total = matched_total = unresolved_total = missing_gold_total = 0
     pooled_distances: list[float] = []
@@ -465,7 +472,10 @@ def run_benchmark(
     workers = config.parallelism if workers is None else workers
     cache_dir = config.cache_dir if use_cache else None
 
-    gazetteer = load_gazetteer_for_run(config)
+    # only the builtin reads the gazetteer; external-only runs skip the load
+    gazetteer = None
+    if any(spec.kind == "builtin-baseline" for spec in config.geoparsers):
+        gazetteer = load_gazetteer_for_run(config)
     boards: dict[str, Leaderboard] = {}
     for source in config.corpora:
         corpus = load_corpus(source.path, source.completeness, source.name)
@@ -487,12 +497,7 @@ def run_benchmark(
             "geoparsers": [
                 {"kind": g.kind, "identifier": g.identifier, "parameters": g.parameters} for g in config.geoparsers
             ],
-            "metrics": {
-                "match_mode": config.metrics.match_mode,
-                "threshold_km": config.metrics.threshold_km,
-                "d_max_km": config.metrics.d_max_km,
-                "earth_radius_km": config.metrics.earth_radius_km,
-            },
+            "metrics": config.metrics.to_dict(),
             "cache_dir": config.cache_dir,
             "parallelism": workers,
         },

@@ -14,7 +14,7 @@ benchmark runs always complete.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from statistics import fmean, median
 from typing import NamedTuple
 
@@ -43,6 +43,9 @@ class MetricsConfig:
             raise ValueError("d_max_km must be > threshold_km")
         if not self.earth_radius_km > 0:
             raise ValueError("earth_radius_km must be > 0")
+
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,32 +163,28 @@ def align(gold, pred, mode: str = "exact") -> Matching:
     )
 
 
+def _ratio(num: int, den: int, warnings: list[str] | None, note: str) -> float:
+    if den:
+        return num / den
+    if warnings is not None:
+        warnings.append(note)
+    return 0.0
+
+
+def _f1(precision: float, recall: float) -> float:
+    return 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+
+
 def precision_recall_f1(m: Matching, warnings: list[str] | None = None) -> tuple[float, float, float]:
     """Micro precision/recall/F1 of a matching; degenerate cases give 0 plus a warning."""
-    matched = len(m.pairs)
-    if m.pred_count:
-        precision = matched / m.pred_count
-    else:
-        precision = 0.0
-        if warnings is not None:
-            warnings.append("precision: no predicted toponyms")
-    if m.gold_count:
-        recall = matched / m.gold_count
-    else:
-        recall = 0.0
-        if warnings is not None:
-            warnings.append("recall: no gold toponyms")
-    f_score = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, f_score
+    precision = _ratio(len(m.pairs), m.pred_count, warnings, "precision: no predicted toponyms")
+    recall = _ratio(len(m.pairs), m.gold_count, warnings, "recall: no gold toponyms")
+    return precision, recall, _f1(precision, recall)
 
 
 def recognition_accuracy(m: Matching, warnings: list[str] | None = None) -> float:
     """Fraction of annotated toponyms that were recognized (matched)."""
-    if not m.gold_count:
-        if warnings is not None:
-            warnings.append("accuracy: no gold toponyms")
-        return 0.0
-    return len(m.pairs) / m.gold_count
+    return _ratio(len(m.pairs), m.gold_count, warnings, "accuracy: no gold toponyms")
 
 
 def geodesic_distance(a: GeoPoint, b: GeoPoint, radius_km: float = EARTH_RADIUS_KM) -> float:
@@ -365,33 +364,19 @@ def build_report(
     """
     config = config or MetricsConfig()
     notes = list(warnings) if warnings else []
-
-    def ratio(num, den, label):
-        if den:
-            return num / den
-        notes.append(f"{label}: denominator is zero")
-        return 0.0
-
-    accuracy = ratio(matched, gold_count, "accuracy")
+    accuracy = _ratio(matched, gold_count, notes, "accuracy: denominator is zero")
     if completeness == "partial":
         precision = recall = f_score = None
     else:
-        precision = ratio(matched, pred_count, "precision")
-        recall = ratio(matched, gold_count, "recall")
-        f_score = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        precision = _ratio(matched, pred_count, notes, "precision: denominator is zero")
+        recall = _ratio(matched, gold_count, notes, "recall: denominator is zero")
+        f_score = _f1(precision, recall)
 
     mean_km, median_km = mean_median(distances, notes)
     acc_at = accuracy_at_threshold(distances, config.threshold_km)
     auc = auc_distance(distances, config.d_max_km, notes)
     # recorded so numbers are only compared within one formula choice
-    config_note = {
-        "match_mode": config.match_mode,
-        "threshold_km": config.threshold_km,
-        "d_max_km": config.d_max_km,
-        "earth_radius_km": config.earth_radius_km,
-        "auc_formula": "mean of ln(1+d)/ln(1+d_max)",
-        "aggregation": "micro",
-    }
+    config_note = {**config.to_dict(), "auc_formula": "mean of ln(1+d)/ln(1+d_max)", "aggregation": "micro"}
     return EvalReport(
         precision=precision,
         recall=recall,

@@ -94,6 +94,28 @@ class TestProcessAdapter:
         finally:
             parser.close()
 
+    def test_timeout_costs_only_the_slow_document(self, tmp_path):
+        # the late answer to doc-002 must not be read as the answer to a later document
+        command = make_child(
+            tmp_path,
+            "import json, sys, time\nfor line in sys.stdin:\n"
+            "    request = json.loads(line)\n"
+            "    if request['id'] == 'doc-002':\n"
+            "        time.sleep(1.5)\n"
+            "    print(json.dumps({'id': request['id'], 'toponyms': []}), flush=True)\n",
+        )
+        parser = ProcessGeoparser(command, timeout=0.5)
+        failed = []
+        try:
+            for i in range(8):
+                try:
+                    parser.parse_document(Document(f"doc-{i:03d}", "some text", ()))
+                except AdapterError:
+                    failed.append(f"doc-{i:03d}")
+        finally:
+            parser.close()
+        assert failed == ["doc-002"]
+
     def test_child_exiting_raises_protocol_error(self, tmp_path):
         command = make_child(tmp_path, "import sys\nsys.exit(0)\n")
         parser = ProcessGeoparser(command, timeout=5)

@@ -251,3 +251,49 @@ class TestIndexFile:
         path.write_text('{"something": "else"}\n', encoding="utf-8")
         with pytest.raises(GazetteerError, match="not a saved gazetteer index"):
             load_index(path)
+
+    def test_round_trip_keeps_fold_flag(self, tmp_path):
+        entries = [GazetteerEntry(1, "São Paulo", ("Sampa",), GeoPoint(-23.55, -46.63), "P", "PPLA", 12_000_000, "BR")]
+        gazetteer = Gazetteer.from_entries(entries, fold_diacritics=True)
+        path = tmp_path / "gaz.index"
+        save_index(gazetteer, path)
+        reloaded = load_index(path)
+        assert reloaded.fold_diacritics
+        assert reloaded.entries == gazetteer.entries
+        assert reloaded.index == gazetteer.index
+        assert reloaded.digest() == gazetteer.digest()
+        assert [e.id for e in reloaded.lookup("sao paulo")] == [1]
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            GazetteerEntry(42, "Springfield", ("Spring,field",), GeoPoint(0, 0)),
+            GazetteerEntry(42, "Spring\tfield", (), GeoPoint(0, 0)),
+            GazetteerEntry(42, " Springfield", (), GeoPoint(0, 0)),
+        ],
+        ids=["comma-in-alternate", "tab-in-name", "surrounding-whitespace"],
+    )
+    def test_save_rejects_entry_that_does_not_read_back(self, tmp_path, entry):
+        gazetteer = Gazetteer.from_entries([GazetteerEntry(1, "Shelbyville", (), GeoPoint(0, 0)), entry])
+        with pytest.raises(GazetteerError, match="entry 42"):
+            save_index(gazetteer, tmp_path / "gaz.index")
+        assert not (tmp_path / "gaz.index").exists()  # no truncated index that would load
+
+    def test_load_rejects_old_json_lines_index(self, tmp_path):
+        path = tmp_path / "old.index"
+        path.write_text(
+            '{"format": "geobench-index", "fold_diacritics": false}\n'
+            '{"alternates": [], "country": "", "feature_class": "", "feature_code": "", '
+            '"id": 1, "lat": 0.0, "lon": 0.0, "name": "A", "population": 0}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(GazetteerError, match="rebuild it with `geobench gazetteer --out-index`"):
+            load_index(path)
+
+    def test_load_rejects_malformed_row(self, tmp_path):
+        path = tmp_path / "gaz.index"
+        save_index(Gazetteer.from_entries([GazetteerEntry(1, "A", (), GeoPoint(0, 0))]), path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(geonames_row(2, "B", 95.0, 0.0) + "\n")
+        with pytest.raises(GazetteerError, match="malformed index rows"):
+            load_index(path)

@@ -18,6 +18,7 @@ from geobench import (
     align,
     cache_predictions,
     compare,
+    degrade_case,
     evaluate,
     load_cached,
     load_run_config,
@@ -205,6 +206,25 @@ class TestCache:
         fresh = evaluate(BUILTIN, corpus, gazetteer, cache_dir=tmp_path)
         assert not any("corrupt" in w for w in fresh.warnings)
 
+    def test_parameters_in_key(self, tmp_path):
+        # same identifier and cache dir, different parameters: the second run must not reuse the first
+        corpus, gazetteer = smoke_corpus_and_gazetteer(5)
+        lowered = degrade_case(corpus)
+        strict = GeoparserSpec("builtin-baseline", "b", {"require_capitalized": True})
+        loose = GeoparserSpec("builtin-baseline", "b", {"require_capitalized": False})
+        assert evaluate(strict, lowered, gazetteer, cache_dir=tmp_path).recall == 0.0
+        assert evaluate(loose, lowered, gazetteer, cache_dir=tmp_path).recall == 1.0
+
+    def test_corpus_hashed_once_per_evaluation(self, tmp_path, monkeypatch):
+        from geobench import harness
+
+        calls = []
+        original = harness.corpus_digest
+        monkeypatch.setattr(harness, "corpus_digest", lambda corpus: calls.append(1) or original(corpus))
+        corpus, gazetteer = smoke_corpus_and_gazetteer(3)
+        evaluate(BUILTIN, corpus, gazetteer, cache_dir=tmp_path)  # miss, then store
+        assert len(calls) == 1
+
     def test_cached_evaluate_equals_fresh(self, tmp_path):
         corpus, gazetteer = smoke_corpus_and_gazetteer(6)
         fresh = evaluate(BUILTIN, corpus, gazetteer)
@@ -383,6 +403,17 @@ class TestRunBenchmark:
         ]
         report = json.loads((out / "reports" / "demo__baseline.json").read_text())
         assert report["f_score"] == 1.0
+
+    def test_external_only_run_skips_gazetteer(self, tmp_path):
+        corpus, _ = smoke_corpus_and_gazetteer(4, name="demo")
+        corpus_path, _ = write_corpus_files(corpus, tmp_path)
+        config = RunConfig(
+            corpora=(CorpusSource("demo", str(corpus_path)),),
+            gazetteer_path=str(tmp_path / "missing.tsv"),
+            geoparsers=(replay_spec(tmp_path, gold_replay_fixture(corpus)),),
+        )
+        boards = run_benchmark(config, tmp_path / "run", use_cache=False)
+        assert boards["demo"].rows[0][1].f_score == 1.0
 
     def test_byte_identical_across_worker_counts(self, tmp_path):
         corpus, gazetteer = smoke_corpus_and_gazetteer(10, name="demo")
