@@ -8,10 +8,15 @@ gazetteer is immutable and safe for unlimited concurrent readers.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
+import re
+import sys
+import threading
 import unicodedata
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,6 +35,9 @@ GEONAMES_COLUMNS = {
     "population": 14,
 }
 _REQUIRED_COLUMNS = ("id", "name", "lat", "lon")
+
+# A word: the recognizer's token, and the head of a name in the head table.
+WORD = re.compile(r"\w+")
 
 
 class GazetteerError(Exception):
@@ -83,7 +91,9 @@ class Gazetteer:
 
     The index maps every normalized primary and alternate name to the ids
     of the entries carrying it; posting lists are kept in ascending id
-    order so that downstream tie-breaking is reproducible.
+    order so that downstream tie-breaking is reproducible. The lexicon and
+    head table the builtin recognizer reads are derived from the index on
+    first use, never saved.
     """
 
     def __init__(self, entries: dict[int, GazetteerEntry], index: dict[str, list[int]], fold_diacritics: bool):
@@ -91,6 +101,8 @@ class Gazetteer:
         self.index = index
         self.fold_diacritics = fold_diacritics
         self._digest: str | None = None
+        self._derived: dict = {}
+        self._derive_lock = threading.Lock()
 
     @classmethod
     def from_entries(cls, entries, fold_diacritics: bool = False) -> "Gazetteer":
@@ -122,6 +134,60 @@ class Gazetteer:
         """Entries whose primary or alternate normalized name equals the query, ascending id."""
         ids = self.index.get(normalize_name(name, self.fold_diacritics), ())
         return [self.entries[i] for i in ids]
+
+    def lexicon(self, primary_only: bool = False) -> dict[str, GazetteerEntry]:
+        """Normalized name -> its resolved entry: the most populous candidate, smallest id on ties.
+
+        With `primary_only`, a name's candidates are only the entries whose
+        normalized primary name it is; names left with none are omitted.
+        Built on first use and memoized per flag.
+        """
+        return self._derive(("lexicon", primary_only), lambda: self._resolve_names(primary_only))
+
+    def head_limits(self) -> dict[str, int]:
+        """Leading word of a normalized name -> length of the longest name starting with it.
+
+        Names that start with no word character have no head; a text
+        n-gram that starts a word can match a name only if that word is a
+        head and the n-gram is no longer than its limit.
+        """
+        return self._derive("heads", self._head_limits)
+
+    def _derive(self, slot, build):
+        # double-checked so that threads parsing at once build a table once
+        table = self._derived.get(slot)
+        if table is None:
+            with self._derive_lock:
+                table = self._derived.get(slot)
+                if table is None:
+                    table = self._derived[slot] = build()
+        return table
+
+    def _resolve_names(self, primary_only: bool) -> dict[str, GazetteerEntry]:
+        entries = self.entries
+        if primary_only:
+            primary = {i: normalize_name(e.primary_name, self.fold_diacritics) for i, e in entries.items()}
+        lexicon = {}
+        for key, ids in self.index.items():
+            if primary_only:
+                ids = [i for i in ids if primary[i] == key]
+            if len(ids) == 1:
+                lexicon[key] = entries[ids[0]]
+            elif ids:
+                # postings ascend by id, so max() keeps the smallest id on ties
+                lexicon[key] = max((entries[i] for i in ids), key=lambda e: e.population)
+        return lexicon
+
+    def _head_limits(self) -> dict[str, int]:
+        heads: dict[str, int] = {}
+        match = WORD.match
+        for key in self.index:
+            head = match(key)
+            if head is not None:
+                head = head.group()
+                if len(key) > heads.get(head, 0):
+                    heads[head] = len(key)
+        return heads
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -218,11 +284,33 @@ def _rows(lines, cols: dict, stats: IngestStats):
             primary_name=name,
             alternate_names=alternates,
             point=GeoPoint(lat, lon),
-            feature_class=parts[fcl_c].strip() if fcl_c is not None else "",
-            feature_code=parts[fco_c].strip() if fco_c is not None else "",
+            # few distinct values over many rows: one shared string each
+            feature_class=sys.intern(parts[fcl_c].strip()) if fcl_c is not None else "",
+            feature_code=sys.intern(parts[fco_c].strip()) if fco_c is not None else "",
             population=population,
-            country=parts[cty_c].strip() if cty_c is not None else "",
+            country=sys.intern(parts[cty_c].strip()) if cty_c is not None else "",
         )
+
+
+@contextmanager
+def _gc_paused():
+    """Hold off the cyclic garbage collector while a gazetteer is built.
+
+    A gazetteer's objects form no cycles, yet their sheer number would
+    trigger several full collections during the build. One collection at
+    the end moves them all to the oldest generation at once; left young,
+    they would be scanned twice more by the first collections after the
+    build, wherever those happen to fall.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+        if was_enabled:
+            gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def ingest_gazetteer(
@@ -245,17 +333,17 @@ def ingest_gazetteer(
         fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise GazetteerError(f"cannot read gazetteer file {path}: {exc}") from exc
-    with fh:
+    with fh, _gc_paused():
         for entry in _rows(fh, cols, stats):
             if entry.id in seen_ids:
                 stats.skip("duplicate id")
                 continue
             seen_ids.add(entry.id)
             entries.append(entry)
-    stats.rows_ingested = len(entries)
-    if not entries:
-        raise GazetteerError(f"no valid rows in gazetteer file {path}")
-    return Gazetteer.from_entries(entries, fold_diacritics), stats
+        stats.rows_ingested = len(entries)
+        if not entries:
+            raise GazetteerError(f"no valid rows in gazetteer file {path}")
+        return Gazetteer.from_entries(entries, fold_diacritics), stats
 
 
 # A saved index is this JSON header line followed by one GeoNames-layout row
@@ -315,10 +403,10 @@ def load_index(path: str | Path) -> Gazetteer:
                 f"{path} is a gazetteer index in an older layout; rebuild it with `geobench gazetteer --out-index`"
             )
         stats = IngestStats()
-        # a list before from_entries: interleaving parsing with index building slows garbage collection
-        entries = list(_rows(fh, GEONAMES_COLUMNS, stats))
-    if stats.rows_skipped:
-        raise GazetteerError(f"{path}: {stats.rows_skipped} malformed index rows {stats.skip_reasons}")
-    if not entries:
-        raise GazetteerError(f"no entries in index file {path}")
-    return Gazetteer.from_entries(entries, header.get("fold_diacritics", False))
+        with _gc_paused():
+            entries = list(_rows(fh, GEONAMES_COLUMNS, stats))
+            if stats.rows_skipped:
+                raise GazetteerError(f"{path}: {stats.rows_skipped} malformed index rows {stats.skip_reasons}")
+            if not entries:
+                raise GazetteerError(f"no entries in index file {path}")
+            return Gazetteer.from_entries(entries, header.get("fold_diacritics", False))

@@ -11,18 +11,15 @@ that turns a GeoparserSpec into a runnable parser.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from typing import NamedTuple
 
 from .corpus import Document, GeoPoint
-from .gazetteer import Gazetteer, GazetteerEntry, normalize_name
+from .gazetteer import WORD, Gazetteer, GazetteerEntry, normalize_name
 
 GEOPARSER_KINDS = ("builtin-baseline", "external-process", "external-http")
-
-_WORD = re.compile(r"\w+")
 
 
 class NoCandidateError(LookupError):
@@ -88,12 +85,26 @@ class GeoparserSpec:
             raise ValueError("geoparser identifier must be non-empty")
 
 
-def _candidates(gazetteer: Gazetteer, name: str, primary_only: bool) -> list[GazetteerEntry]:
-    found = gazetteer.lookup(name)
-    if primary_only and found:
-        key = normalize_name(name, gazetteer.fold_diacritics)
-        found = [e for e in found if normalize_name(e.primary_name, gazetteer.fold_diacritics) == key]
-    return found
+def _leads_every_ngram(text: str, tokens: list, i: int, first: str, longest: int, fold: bool) -> bool:
+    """Whether `first`, the normalized token i, is the leading word of every normalized n-gram from i.
+
+    Case-folding and stripping combining marks act one character at a
+    time, and collapsing whitespace one run at a time, so each normalized
+    n-gram from token i starts with `first`, and all those of two or more
+    tokens share the character after it. If `first` is a whole word and
+    that character is no word character, `first` is their leading word.
+    The character must be taken from a normalized n-gram: a separator of
+    combining marks alone vanishes when diacritics are folded.
+    """
+    if not WORD.fullmatch(first):
+        return False
+    if longest == 1:
+        return True
+    if text[tokens[i][1]].isascii():
+        # not a word character, as tokens are whole words; it normalizes to itself or to a space
+        return True
+    two = normalize_name(text[tokens[i][0] : tokens[i + 1][1]], fold)
+    return WORD.match(two, len(first)) is None
 
 
 def recognize_lexicon(document: Document, gazetteer: Gazetteer, config: RecognizerConfig | None = None) -> list[Span]:
@@ -106,29 +117,39 @@ def recognize_lexicon(document: Document, gazetteer: Gazetteer, config: Recogniz
     therefore non-overlapping and sorted.
     """
     config = config or RecognizerConfig()
+    fold = gazetteer.fold_diacritics
+    lexicon = gazetteer.lexicon(config.primary_names_only)
+    heads = gazetteer.head_limits()
     text = document.text
-    tokens = [(m.start(), m.end()) for m in _WORD.finditer(text)]
+    tokens = [(m.start(), m.end()) for m in WORD.finditer(text)]
     spans: list[Span] = []
     i = 0
     n = len(tokens)
     while i < n:
-        start = tokens[i][0]
+        start, first_end = tokens[i]
         if config.require_capitalized and not text[start].isupper():
             i += 1
             continue
-        matched = None
-        for k in range(min(config.max_ngram, n - i), 0, -1):
-            end = tokens[i + k - 1][1]
-            candidate = text[start:end]
-            normalized = normalize_name(candidate, gazetteer.fold_diacritics)
-            if normalized in config.stoplist:
-                continue
-            if _candidates(gazetteer, normalized, config.primary_names_only):
-                matched = (k, Span(start, end, candidate))
+        longest = min(config.max_ngram, n - i)
+        first = normalize_name(text[start:first_end], fold)
+        if _leads_every_ngram(text, tokens, i, first, longest, fold):
+            # only names with head `first`, and no longer than its limit, can match
+            limit = heads.get(first, 0)
+            ngrams = []
+            for k in range(1, longest + 1):
+                normalized = normalize_name(text[start : tokens[i + k - 1][1]], fold) if k > 1 else first
+                if len(normalized) > limit:  # n-grams only grow with k
+                    break
+                ngrams.append((k, normalized))
+            ngrams.reverse()
+        else:
+            ngrams = ((k, normalize_name(text[start : tokens[i + k - 1][1]], fold)) for k in range(longest, 0, -1))
+        for k, normalized in ngrams:
+            if normalized not in config.stoplist and normalized in lexicon:
+                end = tokens[i + k - 1][1]
+                spans.append(Span(start, end, text[start:end]))
+                i += k
                 break
-        if matched:
-            spans.append(matched[1])
-            i += matched[0]
         else:
             i += 1
     return spans
@@ -140,11 +161,10 @@ def resolve_population(name: str, gazetteer: Gazetteer, primary_only: bool = Fal
     Raises NoCandidateError when the gazetteer has no entry for the name;
     the pipeline then keeps the span with no point.
     """
-    found = _candidates(gazetteer, name, primary_only)
-    if not found:
+    entry = gazetteer.lexicon(primary_only).get(normalize_name(name, gazetteer.fold_diacritics))
+    if entry is None:
         raise NoCandidateError(name)
-    # lookup returns ascending ids, so max() keeps the smallest id on ties
-    return max(found, key=lambda e: e.population)
+    return entry
 
 
 class BuiltinGeoparser:

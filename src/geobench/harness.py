@@ -25,7 +25,7 @@ from .adapters import AdapterError
 from .corpus import Corpus, document_to_json_line, load_corpus, load_manifest
 from .gazetteer import Gazetteer, ingest_gazetteer, load_index
 from .geoparser import GeoparserSpec, PredictedToponym, coerce_predictions, create_geoparser
-from .metrics import EvalReport, MetricsConfig, align, build_report, distance_errors
+from .metrics import EvalReport, MetricsConfig, align, build_report, distance_errors, warn_missing_gold
 
 # Text/CSV column order for rendered leaderboards.
 METRIC_COLUMNS = ("precision", "recall", "f_score", "accuracy", "mean", "median", "auc", "acc_at_161")
@@ -331,10 +331,7 @@ def evaluate(
         unresolved_total += errors.unresolved_matched
         missing_gold_total += errors.missing_gold_points
         pooled_distances.extend(errors.distances)
-    if missing_gold_total:
-        warnings.append(
-            f"distance: {missing_gold_total} matched pairs skipped (gold annotation has no coordinates)"
-        )
+    warn_missing_gold(missing_gold_total, warnings)
 
     return build_report(
         gold_count=gold_total,

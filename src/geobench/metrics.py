@@ -223,9 +223,14 @@ def distance_errors(
             missing_gold += 1
             continue
         distances.append(geodesic_distance(g_point, p_point, radius_km))
-    if missing_gold and warnings is not None:
-        warnings.append(f"distance: {missing_gold} matched pairs skipped (gold annotation has no coordinates)")
+    warn_missing_gold(missing_gold, warnings)
     return DistanceErrors(distances, unresolved, missing_gold)
+
+
+def warn_missing_gold(count: int, warnings: list[str] | None) -> None:
+    """Note `count` matched pairs whose gold annotation had no point to score against."""
+    if count and warnings is not None:
+        warnings.append(f"distance: {count} matched pairs skipped (gold annotation has no coordinates)")
 
 
 def mean_median(distances: list[float], warnings: list[str] | None = None) -> tuple[float | None, float | None]:

@@ -3,9 +3,22 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
-from geobench import Corpus, Document, GazetteerEntry, Gazetteer, GeoPoint, GoldToponym, save_corpus
+from geobench import (
+    Corpus,
+    Document,
+    GazetteerEntry,
+    Gazetteer,
+    GeoPoint,
+    GoldToponym,
+    NoCandidateError,
+    RecognizerConfig,
+    save_corpus,
+)
+from geobench.gazetteer import normalize_name
+from geobench.geoparser import Span
 
 
 def small_gazetteer() -> Gazetteer:
@@ -117,3 +130,54 @@ def geonames_row(
     cols[8] = country
     cols[14] = str(population)
     return "\t".join(cols)
+
+
+# The recognizer and resolver as they were before the lexicon: every n-gram
+# from longest to shortest, each probed through Gazetteer.lookup, and
+# candidates re-ranked per mention. Tests compare the builtin against them.
+
+_REFERENCE_WORD = re.compile(r"\w+")
+
+
+def _reference_candidates(gazetteer: Gazetteer, name: str, primary_only: bool) -> list[GazetteerEntry]:
+    found = gazetteer.lookup(name)
+    if primary_only and found:
+        key = normalize_name(name, gazetteer.fold_diacritics)
+        found = [e for e in found if normalize_name(e.primary_name, gazetteer.fold_diacritics) == key]
+    return found
+
+
+def reference_recognize_lexicon(document: Document, gazetteer: Gazetteer, config: RecognizerConfig) -> list[Span]:
+    text = document.text
+    tokens = [(m.start(), m.end()) for m in _REFERENCE_WORD.finditer(text)]
+    spans: list[Span] = []
+    i = 0
+    n = len(tokens)
+    while i < n:
+        start = tokens[i][0]
+        if config.require_capitalized and not text[start].isupper():
+            i += 1
+            continue
+        matched = None
+        for k in range(min(config.max_ngram, n - i), 0, -1):
+            end = tokens[i + k - 1][1]
+            candidate = text[start:end]
+            normalized = normalize_name(candidate, gazetteer.fold_diacritics)
+            if normalized in config.stoplist:
+                continue
+            if _reference_candidates(gazetteer, normalized, config.primary_names_only):
+                matched = (k, Span(start, end, candidate))
+                break
+        if matched:
+            spans.append(matched[1])
+            i += matched[0]
+        else:
+            i += 1
+    return spans
+
+
+def reference_resolve_population(name: str, gazetteer: Gazetteer, primary_only: bool = False) -> GazetteerEntry:
+    found = _reference_candidates(gazetteer, name, primary_only)
+    if not found:
+        raise NoCandidateError(name)
+    return max(found, key=lambda e: e.population)

@@ -180,6 +180,7 @@ def http_server():
     _Handler.toponyms = FIXTURE["d1"]
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpAdapter:

@@ -1,3 +1,4 @@
+import gc
 import random
 import unicodedata
 
@@ -297,3 +298,81 @@ class TestIndexFile:
             fh.write(geonames_row(2, "B", 95.0, 0.0) + "\n")
         with pytest.raises(GazetteerError, match="malformed index rows"):
             load_index(path)
+
+
+class TestBuildCost:
+    def test_low_cardinality_fields_interned(self, tmp_path):
+        path = tmp_path / "gaz.tsv"
+        rows = [
+            geonames_row(1, "Alpha", 1.0, 1.0, feature_class="A", feature_code="ADM2H", country="ZZ"),
+            geonames_row(2, "Beta", 2.0, 2.0, feature_class="A", feature_code="ADM2H", country="ZZ"),
+        ]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        gazetteer, _ = ingest_gazetteer(path)
+        a, b = gazetteer.entries[1], gazetteer.entries[2]
+        assert a.feature_code is b.feature_code
+        assert a.country is b.country
+
+    @pytest.mark.parametrize("caller_enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("valid", [True, False], ids=["loads", "raises"])
+    def test_gc_state_restored(self, tmp_path, caller_enabled, valid):
+        tsv = tmp_path / "gaz.tsv"
+        tsv.write_text(geonames_row(1, "Nowhere", 45.0 if valid else 91.0, 0.0) + "\n", encoding="utf-8")
+        index = tmp_path / "gaz.index"
+        save_index(Gazetteer.from_entries([GazetteerEntry(1, "A", (), GeoPoint(0, 0))]), index)
+        if not valid:
+            with open(index, "a", encoding="utf-8") as fh:
+                fh.write(geonames_row(2, "B", 95.0, 0.0) + "\n")
+        was_enabled = gc.isenabled()
+        try:
+            (gc.enable if caller_enabled else gc.disable)()
+            for load in (lambda: ingest_gazetteer(tsv), lambda: load_index(index)):
+                if valid:
+                    load()
+                else:
+                    with pytest.raises(GazetteerError):
+                        load()
+                assert gc.isenabled() is caller_enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_loading_derives_no_lexicon(self, tmp_path, monkeypatch):
+        def refuse(self, *args):
+            raise AssertionError("derived table built while loading")
+
+        monkeypatch.setattr(Gazetteer, "_resolve_names", refuse)
+        monkeypatch.setattr(Gazetteer, "_head_limits", refuse)
+        gazetteer, _ = ingest_gazetteer(three_row_fixture(tmp_path))
+        save_index(gazetteer, tmp_path / "gaz.index")
+        load_index(tmp_path / "gaz.index")
+
+
+class TestLexicon:
+    def test_resolves_like_population_rule(self):
+        _, gazetteer = random_gazetteer(random.Random(23), 200)
+        lexicon = gazetteer.lexicon()
+        assert lexicon.keys() == gazetteer.index.keys()
+        for key, entry in lexicon.items():
+            candidates = gazetteer.lookup(key)
+            best = max(e.population for e in candidates)
+            assert entry == min((e for e in candidates if e.population == best), key=lambda e: e.id)
+
+    def test_primary_only_keeps_primary_names(self):
+        entries = [
+            GazetteerEntry(1, "Paris", ("Paname",), GeoPoint(48.86, 2.35), population=2_000_000),
+            GazetteerEntry(2, "Lutetia", ("Paris",), GeoPoint(48.85, 2.34), population=9_000_000),
+        ]
+        gazetteer = Gazetteer.from_entries(entries)
+        assert gazetteer.lexicon()["paris"].id == 2
+        assert gazetteer.lexicon(primary_only=True)["paris"].id == 1
+        assert "paname" not in gazetteer.lexicon(primary_only=True)
+        assert gazetteer.lexicon() is gazetteer.lexicon()
+
+    def test_head_limits(self):
+        entries = [
+            GazetteerEntry(1, "New York City", ("New York",), GeoPoint(40.71, -74.0)),
+            GazetteerEntry(2, "Newark", (), GeoPoint(40.74, -74.17)),
+            GazetteerEntry(3, "'s-Hertogenbosch", (), GeoPoint(51.69, 5.3)),
+        ]
+        heads = Gazetteer.from_entries(entries).head_limits()
+        assert heads == {"new": len("new york city"), "newark": len("newark")}

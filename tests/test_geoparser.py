@@ -1,4 +1,7 @@
 import random
+import sys
+import threading
+from collections import Counter
 
 import pytest
 
@@ -19,7 +22,13 @@ from geobench import (
     resolve_population,
 )
 from geobench.geoparser import coerce_predictions
-from helpers import small_gazetteer, smoke_corpus_and_gazetteer
+from geobench.gazetteer import normalize_name
+from helpers import (
+    reference_recognize_lexicon,
+    reference_resolve_population,
+    small_gazetteer,
+    smoke_corpus_and_gazetteer,
+)
 
 
 class TestRecognize:
@@ -122,6 +131,159 @@ class TestResolve:
         assert resolve_population("Paname", gazetteer).id == 1
         with pytest.raises(NoCandidateError):
             resolve_population("Paname", gazetteer, primary_only=True)
+
+
+# Pieces of fuzzed names and texts: ASCII words, separators, and characters
+# whose normalization changes length or drops them: "ß" folds to "ss", "İ"
+# to "i" plus a combining dot, U+0345 to a Greek iota, a decomposed "é"
+# loses its accent when folding, "ﬁ" expands to "fi", "Ⅷ" lowercases.
+FUZZ_WORDS = ("a", "b", "on", "new", "york", "ss", "fi", "i", "viii", "ke", "la")
+FUZZ_ODD = ("ß", "İ", "\u0345", "e\u0301", "é", "ﬁ", "Ⅷ")
+FUZZ_SEPARATORS = ("-", "'", ".", "\t", " ", "  ", "   ", " - ")
+
+
+def _fuzz_piece(rng: random.Random) -> str:
+    roll = rng.random()
+    if roll < 0.55:
+        word = rng.choice(FUZZ_WORDS)
+        return rng.choice((word, word.capitalize(), word.upper()))
+    if roll < 0.75:
+        return rng.choice(FUZZ_ODD)
+    return rng.choice(FUZZ_SEPARATORS)
+
+
+def _fuzz_name(rng: random.Random) -> str:
+    while True:
+        name = "".join(_fuzz_piece(rng) for _ in range(rng.randrange(1, 6))).strip()
+        if name:
+            return name
+
+
+def _fuzz_case(rng: random.Random, fold: bool):
+    entries = []
+    for i, entry_id in enumerate(rng.sample(range(1, 1000), rng.randrange(1, 12))):
+        alternates = tuple(_fuzz_name(rng) for _ in range(rng.randrange(0, 3)))
+        point = GeoPoint(i, i)
+        entries.append(GazetteerEntry(entry_id, _fuzz_name(rng), alternates, point, population=rng.randrange(3)))
+    gazetteer = Gazetteer.from_entries(entries, fold)
+    names = [name for e in entries for name in e.names()]
+    pieces = []
+    for _ in range(rng.randrange(1, 25)):
+        if rng.random() < 0.3:
+            name = rng.choice(names)
+            pieces.append(rng.choice((name, name.upper(), name.lower(), name.title())))
+        else:
+            pieces.append(_fuzz_piece(rng))
+        if rng.random() < 0.5:
+            pieces.append(rng.choice(FUZZ_SEPARATORS))
+    return gazetteer, Document("d", "".join(pieces), ()), names
+
+
+def _reference_parse(document, gazetteer, config):
+    out = []
+    for span in reference_recognize_lexicon(document, gazetteer, config):
+        try:
+            entry_id = reference_resolve_population(span.name, gazetteer, config.primary_names_only).id
+        except NoCandidateError:
+            entry_id = None
+        out.append((span.start, span.end, span.name, entry_id))
+    return out
+
+
+def _parse(document, gazetteer, config):
+    predictions, _ = BuiltinGeoparser(gazetteer, config).parse_document(document)
+    return [(p.start, p.end, p.name, p.entry_id) for p in predictions]
+
+
+class TestMatchesReference:
+    """The lexicon recognizer and resolver against the per-n-gram lookup they replaced."""
+
+    def test_fuzz(self):
+        rng = random.Random(4)
+        checked = 0
+        for _ in range(150):
+            for fold in (False, True):
+                gazetteer, doc, names = _fuzz_case(rng, fold)
+                stopped = frozenset({normalize_name(rng.choice(names), fold)})
+                for stoplist in (frozenset(), stopped):
+                    for require_capitalized in (True, False):
+                        for primary_names_only in (False, True):
+                            for max_ngram in (1, 3, 5):
+                                config = RecognizerConfig(max_ngram, require_capitalized, stoplist, primary_names_only)
+                                assert _parse(doc, gazetteer, config) == _reference_parse(doc, gazetteer, config), (
+                                    doc.text,
+                                    config,
+                                    [e for e in gazetteer.entries.values()],
+                                )
+                                checked += 1
+        assert checked == 150 * 2 * 2 * 2 * 2 * 3
+
+    def test_accent_separator_folds_away(self):
+        # the accent between "Re" and "union" is no word character, so it
+        # parts two tokens, yet folding removes it: "reunion" is one word
+        gazetteer = Gazetteer.from_entries([GazetteerEntry(1, "Réunion", (), GeoPoint(-21.1, 55.5))], True)
+        doc = Document("d", "Visit Re\u0301union now", ())
+        config = RecognizerConfig()
+        assert _parse(doc, gazetteer, config) == [(6, 14, "Re\u0301union", 1)]
+        assert _parse(doc, gazetteer, config) == _reference_parse(doc, gazetteer, config)
+
+    def test_dotted_capital_i(self):
+        # "İ" case-folds to "i" plus a combining dot, which is no word character
+        gazetteer = Gazetteer.from_entries([GazetteerEntry(1, "İzmir", (), GeoPoint(38.4, 27.1))])
+        doc = Document("d", "İzmir Bay", ())
+        config = RecognizerConfig()
+        assert _parse(doc, gazetteer, config) == [(0, 5, "İzmir", 1)]
+        assert _parse(doc, gazetteer, config) == _reference_parse(doc, gazetteer, config)
+
+    def test_stoplisted_longest_ngram_yields_to_shorter(self):
+        entries = [
+            GazetteerEntry(1, "New", (), GeoPoint(1, 1)),
+            GazetteerEntry(2, "New York", (), GeoPoint(2, 2)),
+            GazetteerEntry(3, "York", (), GeoPoint(3, 3)),
+        ]
+        gazetteer = Gazetteer.from_entries(entries)
+        doc = Document("d", "New York", ())
+        config = RecognizerConfig(stoplist=frozenset({"new york"}))
+        assert _parse(doc, gazetteer, config) == [(0, 3, "New", 1), (4, 8, "York", 3)]
+        assert _parse(doc, gazetteer, config) == _reference_parse(doc, gazetteer, config)
+
+    def test_concurrent_first_parses_build_lexicon_once(self, monkeypatch):
+        corpus, gazetteer = smoke_corpus_and_gazetteer(20)
+        builds = Counter()
+
+        def counted(name):
+            build = getattr(Gazetteer, name)
+
+            def wrapper(self, *args):
+                builds[(name, *args)] += 1
+                threading.Event().wait(0.05)  # a window for a second builder to enter
+                return build(self, *args)
+
+            monkeypatch.setattr(Gazetteer, name, wrapper)
+
+        counted("_resolve_names")
+        counted("_head_limits")
+        parser = BuiltinGeoparser(gazetteer)
+        barrier = threading.Barrier(8)
+        results = {}
+
+        def work(slot):
+            barrier.wait(timeout=10)
+            results[slot] = [parser.parse_document(doc)[0] for doc in corpus.documents]
+
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert builds == {("_resolve_names", False): 1, ("_head_limits",): 1}
+        assert len(results) == 8 and all(r == results[0] for r in results.values())
 
 
 class TestParse:

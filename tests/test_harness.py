@@ -113,8 +113,7 @@ class TestEvaluate:
         assert report.resolved == 5  # predictions carried points even though gold did not
         assert report.mean_km is None
         skip_warnings = [w for w in report.warnings if "no coordinates" in w]
-        assert len(skip_warnings) == 1
-        assert "5 matched pairs" in skip_warnings[0]
+        assert skip_warnings == ["distance: 5 matched pairs skipped (gold annotation has no coordinates)"]
 
     def test_match_mode_flows_through(self, tmp_path):
         corpus, _ = smoke_corpus_and_gazetteer(3)
