@@ -93,16 +93,34 @@ class Gazetteer:
     of the entries carrying it; posting lists are kept in ascending id
     order so that downstream tie-breaking is reproducible. The lexicon and
     head table the builtin recognizer reads are derived from the index on
-    first use, never saved.
+    first use, never saved. A gazetteer loaded from a saved index parses
+    its entries and builds its index on first use as well.
     """
 
     def __init__(self, entries: dict[int, GazetteerEntry], index: dict[str, list[int]], fold_diacritics: bool):
-        self.entries = entries
-        self.index = index
         self.fold_diacritics = fold_diacritics
         self._digest: str | None = None
-        self._derived: dict = {}
-        self._derive_lock = threading.Lock()
+        self._derived: dict = {"tables": (entries, index)}
+        # reentrant: deriving the lexicon reads `index`, which may itself be built on first use
+        self._derive_lock = threading.RLock()
+        self._unparsed: tuple[str, bytes] | None = None
+
+    @classmethod
+    def _from_index_body(cls, source: str, body: bytes, fold_diacritics: bool, digest: str) -> "Gazetteer":
+        """A gazetteer whose digest is known and whose rows are parsed on first use of `entries` or `index`."""
+        gazetteer = cls({}, {}, fold_diacritics)
+        del gazetteer._derived["tables"]
+        gazetteer._digest = digest
+        gazetteer._unparsed = (source, body)
+        return gazetteer
+
+    @property
+    def entries(self) -> dict[int, GazetteerEntry]:
+        return self._derive("tables", self._parse_index_body)[0]
+
+    @property
+    def index(self) -> dict[str, list[int]]:
+        return self._derive("tables", self._parse_index_body)[1]
 
     @classmethod
     def from_entries(cls, entries, fold_diacritics: bool = False) -> "Gazetteer":
@@ -163,6 +181,22 @@ class Gazetteer:
                     table = self._derived[slot] = build()
         return table
 
+    def _parse_index_body(self) -> tuple[dict[int, GazetteerEntry], dict[str, list[int]]]:
+        source, body = self._unparsed
+        stats = IngestStats()
+        with _gc_paused():
+            try:
+                text = body.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise GazetteerError(f"{source}: malformed index rows: {exc}") from None
+            # "\n" only: str.splitlines would also break names at U+0085, U+2028 or "\x1c"
+            entries = list(_rows(text.removesuffix("\n").split("\n"), _DIGEST_COLUMNS, stats))
+            if stats.rows_skipped:
+                raise GazetteerError(f"{source}: {stats.rows_skipped} malformed index rows {stats.skip_reasons}")
+            built = Gazetteer.from_entries(entries, self.fold_diacritics)
+        self._unparsed = None  # the entries replace the body bytes
+        return built.entries, built.index
+
     def _resolve_names(self, primary_only: bool) -> dict[str, GazetteerEntry]:
         entries = self.entries
         if primary_only:
@@ -195,19 +229,39 @@ class Gazetteer:
     def digest(self) -> str:
         """Content digest over all entries and the fold flag (memoized)."""
         if self._digest is None:
-            h = hashlib.sha256()
-            h.update(f"fold={self.fold_diacritics}\n".encode())
-            for entry_id in sorted(self.entries):
-                e = self.entries[entry_id]
-                h.update(
-                    (
-                        f"{e.id}\t{e.primary_name}\t{','.join(e.alternate_names)}\t"
-                        f"{e.point.lat!r}\t{e.point.lon!r}\t{e.feature_class}\t"
-                        f"{e.feature_code}\t{e.population}\t{e.country}\n"
-                    ).encode("utf-8")
-                )
+            h = _digest_hasher(self.fold_diacritics)
+            entries = self.entries
+            for entry_id in sorted(entries):
+                h.update(_digest_row(entries[entry_id]).encode("utf-8"))
             self._digest = h.hexdigest()
         return self._digest
+
+
+def _digest_hasher(fold_diacritics: bool):
+    return hashlib.sha256(f"fold={fold_diacritics}\n".encode())
+
+
+def _digest_row(e: GazetteerEntry) -> str:
+    """The line `digest()` hashes for an entry; a saved index's body is these lines in id order."""
+    return (
+        f"{e.id}\t{e.primary_name}\t{','.join(e.alternate_names)}\t"
+        f"{e.point.lat!r}\t{e.point.lon!r}\t{e.feature_class}\t"
+        f"{e.feature_code}\t{e.population}\t{e.country}\n"
+    )
+
+
+# The fields of a digest row, as a column map for the row parser.
+_DIGEST_COLUMNS = {
+    "id": 0,
+    "name": 1,
+    "alternates": 2,
+    "lat": 3,
+    "lon": 4,
+    "feature_class": 5,
+    "feature_code": 6,
+    "population": 7,
+    "country": 8,
+}
 
 
 def lookup(gazetteer: Gazetteer, name: str) -> list[GazetteerEntry]:
@@ -297,17 +351,20 @@ def _gc_paused():
     """Hold off the cyclic garbage collector while a gazetteer is built.
 
     A gazetteer's objects form no cycles, yet their sheer number would
-    trigger several full collections during the build. One collection at
-    the end moves them all to the oldest generation at once; left young,
-    they would be scanned twice more by the first collections after the
-    build, wherever those happen to fall.
+    trigger several full collections during the build, and every full
+    collection after it would rescan them. So the heap is collected once
+    on entry, while it is still small, and on success everything then
+    alive is frozen out of later collections: the collection on entry
+    leaves no garbage cycle to be frozen with it.
     """
     was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.collect()
     gc.disable()
     try:
         yield
         if was_enabled:
-            gc.collect()
+            gc.freeze()
     finally:
         if was_enabled:
             gc.enable()
@@ -346,23 +403,11 @@ def ingest_gazetteer(
         return Gazetteer.from_entries(entries, fold_diacritics), stats
 
 
-# A saved index is this JSON header line followed by one GeoNames-layout row
-# per entry; an index without the layout marker predates that layout.
-_INDEX_HEADER = {"format": "geobench-index", "layout": "geonames-rows"}
-
-
-def _geonames_row(e: GazetteerEntry) -> str:
-    cols = [""] * 19
-    cols[GEONAMES_COLUMNS["id"]] = str(e.id)
-    cols[GEONAMES_COLUMNS["name"]] = e.primary_name
-    cols[GEONAMES_COLUMNS["alternates"]] = ",".join(e.alternate_names)
-    cols[GEONAMES_COLUMNS["lat"]] = repr(e.point.lat)
-    cols[GEONAMES_COLUMNS["lon"]] = repr(e.point.lon)
-    cols[GEONAMES_COLUMNS["feature_class"]] = e.feature_class
-    cols[GEONAMES_COLUMNS["feature_code"]] = e.feature_code
-    cols[GEONAMES_COLUMNS["country"]] = e.country
-    cols[GEONAMES_COLUMNS["population"]] = str(e.population)
-    return "\t".join(cols) + "\n"
+# A saved index is this JSON header line, which also holds the fold flag and
+# the digest, followed by the digest rows of all entries in id order: the
+# body is exactly what `digest()` hashes after its fold line. An index
+# without this layout marker predates it.
+_INDEX_HEADER = {"format": "geobench-index", "layout": "digest-rows"}
 
 
 def save_index(gazetteer: Gazetteer, path: str | Path) -> None:
@@ -376,37 +421,49 @@ def save_index(gazetteer: Gazetteer, path: str | Path) -> None:
     rows = []  # all checked before the file is opened, so a refused entry leaves no partial index
     for entry_id in sorted(gazetteer.entries):
         entry = gazetteer.entries[entry_id]
-        row = _geonames_row(entry)
-        if row.count("\n") != 1 or list(_rows([row], GEONAMES_COLUMNS, stats)) != [entry]:
-            raise GazetteerError(f"entry {entry_id} cannot be saved: its fields do not survive a GeoNames row")
+        row = _digest_row(entry)
+        if row.count("\n") != 1 or list(_rows([row], _DIGEST_COLUMNS, stats)) != [entry]:
+            raise GazetteerError(f"entry {entry_id} cannot be saved: its fields do not survive an index row")
         rows.append(row)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps({**_INDEX_HEADER, "fold_diacritics": gazetteer.fold_diacritics}) + "\n")
-        fh.writelines(rows)
+    body = "".join(rows).encode("utf-8")
+    h = _digest_hasher(gazetteer.fold_diacritics)
+    h.update(body)
+    header = {**_INDEX_HEADER, "fold_diacritics": gazetteer.fold_diacritics, "digest": h.hexdigest()}
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode("utf-8") + b"\n")
+        fh.write(body)
 
 
 def load_index(path: str | Path) -> Gazetteer:
-    """Reload a gazetteer written by save_index."""
+    """Reload a gazetteer written by save_index.
+
+    The body is checked against the digest in the header, and a file that
+    fails the check is refused. Its rows are parsed only when the
+    gazetteer's entries or name index are first used, so a caller that
+    needs only `digest()` pays for one read and one hash.
+    """
     try:
-        fh = open(path, encoding="utf-8", newline="\n")
+        with open(path, "rb") as fh:
+            header_line = fh.readline()
+            body = fh.read()
     except OSError as exc:
         raise GazetteerError(f"cannot read index file {path}: {exc}") from exc
-    with fh:
-        try:
-            header = json.loads(fh.readline())
-        except json.JSONDecodeError as exc:
-            raise GazetteerError(f"malformed index header in {path}: {exc}") from None
-        if not isinstance(header, dict) or header.get("format") != _INDEX_HEADER["format"]:
-            raise GazetteerError(f"{path} is not a saved gazetteer index")
-        if header.get("layout") != _INDEX_HEADER["layout"]:
-            raise GazetteerError(
-                f"{path} is a gazetteer index in an older layout; rebuild it with `geobench gazetteer --out-index`"
-            )
-        stats = IngestStats()
-        with _gc_paused():
-            entries = list(_rows(fh, GEONAMES_COLUMNS, stats))
-            if stats.rows_skipped:
-                raise GazetteerError(f"{path}: {stats.rows_skipped} malformed index rows {stats.skip_reasons}")
-            if not entries:
-                raise GazetteerError(f"no entries in index file {path}")
-            return Gazetteer.from_entries(entries, header.get("fold_diacritics", False))
+    try:
+        header = json.loads(header_line)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise GazetteerError(f"malformed index header in {path}: {exc}") from None
+    if not isinstance(header, dict) or header.get("format") != _INDEX_HEADER["format"]:
+        raise GazetteerError(f"{path} is not a saved gazetteer index")
+    if header.get("layout") != _INDEX_HEADER["layout"]:
+        raise GazetteerError(
+            f"{path} is a gazetteer index in an older layout; rebuild it with `geobench gazetteer --out-index`"
+        )
+    fold = header.get("fold_diacritics", False)
+    h = _digest_hasher(fold)
+    h.update(body)
+    digest = h.hexdigest()
+    if digest != header.get("digest"):
+        raise GazetteerError(f"{path}: malformed index rows: the body does not match the digest in its header")
+    if not body:
+        raise GazetteerError(f"no entries in index file {path}")
+    return Gazetteer._from_index_body(str(path), body, fold, digest)

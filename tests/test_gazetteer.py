@@ -1,5 +1,8 @@
 import gc
 import random
+import sys
+import threading
+import time
 import unicodedata
 
 import pytest
@@ -15,6 +18,7 @@ from geobench import (
     normalize_name,
     save_index,
 )
+from geobench import gazetteer as gazetteer_module
 from helpers import geonames_row
 
 
@@ -298,6 +302,91 @@ class TestIndexFile:
             fh.write(geonames_row(2, "B", 95.0, 0.0) + "\n")
         with pytest.raises(GazetteerError, match="malformed index rows"):
             load_index(path)
+
+    def test_load_rejects_altered_body(self, tmp_path):
+        path = tmp_path / "gaz.index"
+        entries = [GazetteerEntry(1, "Alpha", (), GeoPoint(12.5, 3.25)), GazetteerEntry(2, "Beta", (), GeoPoint(-45.75, 100.0))]
+        save_index(Gazetteer.from_entries(entries), path)
+        saved = path.read_bytes()
+        assert saved.count(b"\t-45.75\t") == 1
+        path.write_bytes(saved.replace(b"\t-45.75\t", b"\t-45.76\t"))
+        with pytest.raises(GazetteerError):
+            load_index(path)
+
+    def test_load_rejects_geonames_rows_index(self, tmp_path):
+        path = tmp_path / "old.index"
+        path.write_text(
+            '{"format": "geobench-index", "layout": "geonames-rows", "fold_diacritics": false}\n'
+            + geonames_row(1, "A", 0.0, 0.0)
+            + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(GazetteerError, match="rebuild it with `geobench gazetteer --out-index`"):
+            load_index(path)
+
+    def test_names_with_unicode_line_breaks_round_trip(self, tmp_path):
+        entries = [
+            GazetteerEntry(1, "Upper\u2028Town", ("Nel\x85Ville",), GeoPoint(1.5, 2.5)),
+            GazetteerEntry(2, "File\x1cSep", ("Para\u2029Graph",), GeoPoint(-3.5, 4.5)),
+        ]
+        gazetteer = Gazetteer.from_entries(entries)
+        path = tmp_path / "gaz.index"
+        save_index(gazetteer, path)
+        reloaded = load_index(path)
+        assert reloaded.entries == gazetteer.entries
+        assert reloaded.index == gazetteer.index
+        assert reloaded.digest() == gazetteer.digest()
+
+    def test_load_parses_no_row(self, tmp_path, monkeypatch):
+        tsv = three_row_fixture(tmp_path)
+        ingested, _ = ingest_gazetteer(tsv)
+        save_index(ingested, tmp_path / "gaz.index")
+
+        def refuse(*args):
+            raise AssertionError("row parsed while loading")
+
+        monkeypatch.setattr(gazetteer_module, "_rows", refuse)
+        loaded = load_index(tmp_path / "gaz.index")
+        assert loaded.digest() == ingested.digest()
+
+    def test_concurrent_first_use_parses_rows_once(self, tmp_path, monkeypatch):
+        entries, built = random_gazetteer(random.Random(29), 2000)
+        path = tmp_path / "gaz.index"
+        save_index(built, path)
+        loaded = load_index(path)
+        parses = []
+        real_rows = gazetteer_module._rows
+
+        def counting_rows(*args):
+            parses.append(1)
+            return real_rows(*args)
+
+        monkeypatch.setattr(gazetteer_module, "_rows", counting_rows)
+        name = entries[7].primary_name
+        touches = [loaded.lexicon, lambda: loaded.entries, lambda: loaded.lookup(name)]
+        expected = [built.lexicon(), built.entries, built.lookup(name)]
+        barrier = threading.Barrier(8)
+        results = [None] * 8
+
+        def first_touch(i):
+            barrier.wait(timeout=30)
+            results[i] = touches[i % 3]()
+
+        threads = [threading.Thread(target=first_touch, args=(i,), daemon=True) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 30
+            for thread in threads:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(parses) == 1
+        assert results == [expected[i % 3] for i in range(8)]
+        assert loaded._unparsed is None  # the body bytes are dropped once parsed
 
 
 class TestBuildCost:

@@ -25,8 +25,11 @@ from geobench import (
     render_report,
     run_benchmark,
 )
+from geobench import gazetteer as gazetteer_module
+from geobench import harness as harness_module
 from geobench.harness import load_leaderboards
 from helpers import (
+    geonames_row,
     gold_replay_fixture,
     smoke_corpus_and_gazetteer,
     write_corpus_files,
@@ -431,3 +434,45 @@ class TestRunBenchmark:
         first = (tmp_path / "w1" / "reports" / "demo__baseline.json").read_bytes()
         second = (tmp_path / "w8" / "reports" / "demo__baseline.json").read_bytes()
         assert first == second
+
+    def test_index_run_hits_cache_primed_by_tsv_run(self, tmp_path, monkeypatch):
+        from geobench import ingest_gazetteer, save_index
+
+        corpus, gazetteer = smoke_corpus_and_gazetteer(6, name="demo")
+        corpus_path, _ = write_corpus_files(corpus, tmp_path)
+        tsv = tmp_path / "gaz.tsv"
+        tsv.write_text(
+            "".join(
+                geonames_row(e.id, e.primary_name, e.point.lat, e.point.lon, e.population, country=e.country) + "\n"
+                for e in gazetteer.entries.values()
+            ),
+            encoding="utf-8",
+        )
+        save_index(ingest_gazetteer(tsv)[0], tmp_path / "gaz.index")
+        specs = (BUILTIN, GeoparserSpec("builtin-baseline", "no-caps", {"require_capitalized": False}))
+        primed = RunConfig(
+            corpora=(CorpusSource("demo", str(corpus_path)),),
+            gazetteer_path=str(tsv),
+            geoparsers=specs,
+            cache_dir=str(tmp_path / "cache"),
+        )
+        run_benchmark(primed, tmp_path / "primed")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cached evaluation parsed documents or gazetteer rows")
+
+        monkeypatch.setattr(harness_module, "_parse_all", refuse)
+        monkeypatch.setattr(gazetteer_module, "_rows", refuse)
+        cached = RunConfig(
+            corpora=primed.corpora,
+            gazetteer_path=str(tmp_path / "gaz.index"),
+            gazetteer_schema="index",
+            geoparsers=specs,
+            cache_dir=primed.cache_dir,
+        )
+        run_benchmark(cached, tmp_path / "cached")
+        for sub in ("reports", "leaderboards"):
+            produced = sorted((tmp_path / "cached" / sub).iterdir())
+            assert [p.name for p in produced] == [p.name for p in sorted((tmp_path / "primed" / sub).iterdir())]
+            for path in produced:
+                assert path.read_bytes() == (tmp_path / "primed" / sub / path.name).read_bytes()
