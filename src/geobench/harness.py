@@ -148,11 +148,13 @@ def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", name) or "_"
 
 
-def _cache_path(cache_dir, spec: GeoparserSpec, corpus: Corpus, gazetteer: Gazetteer | None) -> Path:
+def _cache_path(
+    cache_dir, spec: GeoparserSpec, corpus: Corpus, gazetteer: Gazetteer | None, corpus_hash: str | None = None
+) -> Path:
     # keyed on everything predictions depend on: the spec, the corpus and (builtin only) the gazetteer
     h = hashlib.sha256()
     h.update(json.dumps([spec.kind, spec.parameters], sort_keys=True).encode())
-    h.update(corpus_digest(corpus).encode())
+    h.update((corpus_hash or corpus_digest(corpus)).encode())
     if spec.kind == "builtin-baseline" and gazetteer is not None:
         h.update(gazetteer.digest().encode())
     return Path(cache_dir) / f"{_safe_name(spec.identifier)}__{_safe_name(corpus.name)}__{h.hexdigest()[:16]}.jsonl"
@@ -243,7 +245,9 @@ def _parse_all(spec, corpus, gazetteer, workers):
     """Parse every document; returns {doc_id: (preds, dropped, error_msg)}.
 
     Each worker thread lazily creates its own geoparser instance, so
-    external-process adapters never share a child across threads.
+    external-process adapters never share a child across threads. The
+    builtin is CPU-bound Python, which threads only slow down, so it always
+    parses on the calling thread.
     """
     local = threading.local()
     instances = []
@@ -266,7 +270,7 @@ def _parse_all(spec, corpus, gazetteer, workers):
             return doc.id, ([], 0, str(exc))
 
     try:
-        if workers <= 1:
+        if workers <= 1 or spec.kind == "builtin-baseline":
             results = dict(work(doc) for doc in corpus.documents)
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -285,20 +289,22 @@ def evaluate(
     *,
     cache_dir: str | Path | None = None,
     workers: int = 1,
+    corpus_hash: str | None = None,
 ) -> EvalReport:
     """Run one geoparser over one corpus and score it.
 
     Counts are pooled over documents (micro-averaging) in document-id
     order. Documents whose adapter call failed score as zero predictions
     and are listed in the report warnings; if more than 10% fail the run
-    aborts with an AdapterError.
+    aborts with an AdapterError. `corpus_hash` is the corpus's
+    `corpus_digest`, for callers that evaluate one corpus several times.
     """
     config = config or MetricsConfig()
     warnings: list[str] = []
 
     predictions = cache_path = None
     if cache_dir is not None:
-        cache_path = _cache_path(cache_dir, spec, corpus, gazetteer)  # hashes the corpus once per evaluation
+        cache_path = _cache_path(cache_dir, spec, corpus, gazetteer, corpus_hash)
         predictions = load_cached(spec, corpus, cache_dir, gazetteer, warnings, path=cache_path)
     if predictions is None:
         results = _parse_all(spec, corpus, gazetteer, workers)
@@ -476,11 +482,16 @@ def run_benchmark(
     boards: dict[str, Leaderboard] = {}
     for source in config.corpora:
         corpus = load_corpus(source.path, source.completeness, source.name)
+        corpus_hash = None
         rows = []
         for spec in config.geoparsers:
             if progress:
                 progress(f"evaluating {spec.identifier} on {source.name}")
-            report = evaluate(spec, corpus, gazetteer, config.metrics, cache_dir=cache_dir, workers=workers)
+            if cache_dir is not None and corpus_hash is None:
+                corpus_hash = corpus_digest(corpus)  # once per corpus, as part of its first evaluation
+            report = evaluate(
+                spec, corpus, gazetteer, config.metrics, cache_dir=cache_dir, workers=workers, corpus_hash=corpus_hash
+            )
             _dump_json(report.to_dict(), out / "reports" / f"{_safe_name(source.name)}__{_safe_name(spec.identifier)}.json")
             rows.append((spec.identifier, report))
         board = compare(rows, source.completeness)

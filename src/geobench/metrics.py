@@ -14,6 +14,7 @@ benchmark runs always complete.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from statistics import fmean, median
 from typing import NamedTuple
@@ -80,54 +81,164 @@ def _check_sorted(spans, side: str) -> None:
         prev = key
 
 
-def _spans_overlap(a, b) -> bool:
-    return a.start < b.end and b.start < a.end
+# Mate markers in the overlap matching: FREE is unmatched, TAKEN is out of
+# the graph (a decided gold, or a pred already paired with one).
+FREE = -1
+TAKEN = -2
 
 
-def _matching_size(adj, n_gold, banned_gold, banned_pred) -> int:
-    # Kuhn's augmenting-path matching over the gold side.
-    match_of_pred: dict[int, int] = {}
+def _overlap_adjacency(gold, pred) -> list[list[int]]:
+    # adj[g]: the preds intersecting gold g, ascending. One sweep over the
+    # golds by start, with a cost linear in the spans plus the overlaps.
+    starts = [p.start for p in pred]
+    ends = [p.end for p in pred]
+    adj = []
+    active: list[int] = []  # preds starting at or before the gold, not yet ended
+    after = 0  # the first pred starting after the gold does
+    for g in gold:
+        s, e = g.start, g.end
+        if active:
+            active = [j for j in active if ends[j] > s]
+        while after < len(pred) and starts[after] <= s:
+            if ends[after] > s:
+                active.append(after)
+            after += 1
+        inside = after  # then the preds starting inside the gold, which all overlap it
+        while inside < len(pred) and starts[inside] < e:
+            inside += 1
+        adj.append([*active, *range(after, inside)] if s < e else [j for j in active if starts[j] < e])
+    return adj
 
-    def try_assign(g, visited):
-        for p in adj[g]:
-            if p in banned_pred or p in visited:
+
+def _alternating_path(start, adj, mate, seen, via, freed) -> int:
+    # Iterative search from `start` for an alternating path to a free vertex
+    # on the other side: leave each vertex by an unmatched edge, come back by
+    # the matched one. `mate` indexes the other side; a vertex is free when
+    # its mate is FREE or `freed`. Reached vertices go into `seen` (the
+    # caller keeps it while failed searches stay failed) and `via` records
+    # where each came from. Returns the free vertex, or FREE.
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            m = mate[y]
+            if m == x or m == TAKEN or y in seen:
                 continue
-            visited.add(p)
-            if p not in match_of_pred or try_assign(match_of_pred[p], visited):
-                match_of_pred[p] = g
-                return True
-        return False
+            seen.add(y)
+            via[y] = x
+            if m == FREE or m == freed:
+                return y
+            stack.append(m)
+    return FREE
 
-    size = 0
-    for g in range(n_gold):
-        if g in banned_gold:
-            continue
-        if try_assign(g, set()):
-            size += 1
-    return size
+
+def _root(parent, x) -> int:
+    # union-find root, halving the path on the way
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def _flip(end, start, via, mate_start_side, mate_end_side) -> None:
+    # Augment along the path `via` recorded from `start` to `end`.
+    y = end
+    while True:
+        x = via[y]
+        after = mate_start_side[x]
+        mate_start_side[x] = y
+        mate_end_side[y] = x
+        if x == start:
+            return
+        y = after
 
 
 def _align_overlap(gold, pred) -> list[tuple[int, int]]:
     # Maximum-cardinality one-to-one matching of intersecting intervals;
     # among maximum matchings, the lexicographically smallest pair list.
-    adj = [[j for j, p in enumerate(pred) if _spans_overlap(g, p)] for g in gold]
-    total = _matching_size(adj, len(gold), banned_gold=set(), banned_pred=set())
-    pairs: list[tuple[int, int]] = []
-    used_pred: set[int] = set()
-    decided_gold: set[int] = set()
-    for g in range(len(gold)):
-        chosen = None
-        for p in adj[g]:
-            if p in used_pred:
-                continue
-            rest = _matching_size(adj, len(gold), decided_gold | {g}, used_pred | {p})
-            if len(pairs) + 1 + rest == total:
-                chosen = p
+    adj = _overlap_adjacency(gold, pred)
+    mate_g = [FREE] * len(gold)
+    mate_p = [FREE] * len(pred)
+
+    # One maximum matching: greedy in gold order, then augment from each gold
+    # left free. Preds seen by failed searches stay dead until one succeeds.
+    unmatched = []
+    for g, preds in enumerate(adj):
+        for p in preds:
+            if mate_p[p] == FREE:
+                mate_g[g], mate_p[p] = p, g
                 break
-        decided_gold.add(g)
-        if chosen is not None:
-            pairs.append((g, chosen))
-            used_pred.add(chosen)
+        else:
+            if preds:
+                unmatched.append(g)
+    dead: set[int] = set()
+    via: dict[int, int] = {}
+    for g in unmatched:
+        end = _alternating_path(g, adj, mate_p, dead, via, FREE)
+        if end != FREE:
+            _flip(end, g, via, mate_g, mate_p)
+            dead = set()
+    # Free golds per connected component: an alternating path never leaves
+    # its component, so a search for a free gold runs only where one is.
+    free = [g for g in unmatched if mate_g[g] == FREE]
+    pred_adj: list[list[int]] = [[] for _ in pred]
+    component = list(range(len(gold)))
+    if free:
+        for g, preds in enumerate(adj):
+            for p in preds:
+                pred_adj[p].append(g)
+        for golds in pred_adj:
+            for y in golds[1:]:
+                component[_root(component, y)] = _root(component, golds[0])
+    free_golds = Counter(_root(component, g) for g in free)
+
+    # Decide the golds in order, keeping mate_g/mate_p a maximum matching of
+    # the undecided golds and unused preds. Gold g takes the first unused
+    # pred p that some maximum matching pairs it with. That holds at once if
+    # p is g's mate or either is free. Otherwise, with q = g's mate and
+    # h = p's mate, dropping g and p frees q and h, and it holds iff an
+    # augmenting path then starts at one of them: from h to a free pred or
+    # q, or from q to a free gold. Neither search depends on p beyond its
+    # start, so the preds a failed search from h saw stay dead for the next
+    # candidate, and the search from q runs at most once per gold.
+    pairs: list[tuple[int, int]] = []
+    for g, preds in enumerate(adj):
+        q = mate_g[g]
+        from_h = from_q = None
+        for p in preds:
+            h = mate_p[p]
+            if h == TAKEN:
+                continue
+            path = None
+            if q != FREE and h != FREE and p != q:
+                if from_h is None:
+                    from_h, dead = {}, set()
+                end = _alternating_path(h, adj, mate_p, dead, from_h, g)
+                if end != FREE:
+                    path = (end, h, from_h, mate_g, mate_p)
+                else:
+                    # a path from q to h reverses into one from h to q, so any
+                    # path found from q avoids h and p
+                    if from_q is None:
+                        from_q = {}
+                        free_gold = FREE
+                        if free_golds[_root(component, g)]:
+                            free_gold = _alternating_path(q, pred_adj, mate_g, {g}, from_q, FREE)
+                    if free_gold == FREE:
+                        continue
+                    path = (free_gold, q, from_q, mate_p, mate_g)
+            if q not in (FREE, p):
+                mate_p[q] = FREE
+            if h not in (FREE, g):
+                mate_g[h] = FREE
+            mate_p[p] = TAKEN
+            if path is not None:
+                _flip(*path)
+            pairs.append((g, p))
+            break
+        else:
+            if preds:  # every pred taken: g stays free, now for good
+                free_golds[_root(component, g)] -= 1
+        mate_g[g] = TAKEN
     return pairs
 
 

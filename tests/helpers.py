@@ -181,3 +181,52 @@ def reference_resolve_population(name: str, gazetteer: Gazetteer, primary_only: 
     if not found:
         raise NoCandidateError(name)
     return max(found, key=lambda e: e.population)
+
+
+# Overlap alignment as it was before the single-matching rewrite: a fresh
+# Kuhn matching for every (gold, pred) decision. Slow but plainly correct;
+# tests compare align(..., "overlap") against it on small layouts.
+
+
+def _reference_matching_size(adj, n_gold, banned_gold, banned_pred) -> int:
+    match_of_pred: dict[int, int] = {}
+
+    def try_assign(g, visited):
+        for p in adj[g]:
+            if p in banned_pred or p in visited:
+                continue
+            visited.add(p)
+            if p not in match_of_pred or try_assign(match_of_pred[p], visited):
+                match_of_pred[p] = g
+                return True
+        return False
+
+    size = 0
+    for g in range(n_gold):
+        if g in banned_gold:
+            continue
+        if try_assign(g, set()):
+            size += 1
+    return size
+
+
+def reference_align_overlap(gold, pred) -> list[tuple[int, int]]:
+    adj = [[j for j, p in enumerate(pred) if g.start < p.end and p.start < g.end] for g in gold]
+    total = _reference_matching_size(adj, len(gold), banned_gold=set(), banned_pred=set())
+    pairs: list[tuple[int, int]] = []
+    used_pred: set[int] = set()
+    decided_gold: set[int] = set()
+    for g in range(len(gold)):
+        chosen = None
+        for p in adj[g]:
+            if p in used_pred:
+                continue
+            rest = _reference_matching_size(adj, len(gold), decided_gold | {g}, used_pred | {p})
+            if len(pairs) + 1 + rest == total:
+                chosen = p
+                break
+        decided_gold.add(g)
+        if chosen is not None:
+            pairs.append((g, chosen))
+            used_pred.add(chosen)
+    return pairs

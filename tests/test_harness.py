@@ -435,6 +435,69 @@ class TestRunBenchmark:
         second = (tmp_path / "w8" / "reports" / "demo__baseline.json").read_bytes()
         assert first == second
 
+    def two_corpora_two_builtins(self, tmp_path, cache=True):
+        from dataclasses import replace
+
+        corpus, gazetteer = smoke_corpus_and_gazetteer(8, name="demo")
+        lowered = replace(degrade_case(corpus), name="lower")
+        paths = [write_corpus_files(c, tmp_path)[0] for c in (corpus, lowered)]
+        from geobench import save_index
+
+        save_index(gazetteer, tmp_path / "gaz.index")
+        return RunConfig(
+            corpora=tuple(CorpusSource(c.name, str(path)) for c, path in zip((corpus, lowered), paths)),
+            gazetteer_path=str(tmp_path / "gaz.index"),
+            gazetteer_schema="index",
+            geoparsers=(BUILTIN, GeoparserSpec("builtin-baseline", "no-caps", {"require_capitalized": False})),
+            cache_dir=str(tmp_path / "cache") if cache else None,
+        )
+
+    def test_each_corpus_hashed_once_per_run(self, tmp_path, monkeypatch):
+        config = self.two_corpora_two_builtins(tmp_path)
+        calls = []
+        original = harness_module.corpus_digest
+        monkeypatch.setattr(harness_module, "corpus_digest", lambda corpus: calls.append(corpus.name) or original(corpus))
+        run_benchmark(config, tmp_path / "cold")  # every evaluation misses, then stores
+        assert calls == ["demo", "lower"]
+        names = sorted(p.name for p in (tmp_path / "cache").iterdir())
+        # the same file names as when each evaluation hashed the corpus itself
+        calls.clear()
+        monkeypatch.setattr(harness_module, "_parse_all", lambda *a, **k: pytest.fail("cache missed"))
+        gazetteer = harness_module.load_gazetteer_for_run(config)
+        for source in config.corpora:
+            corpus = harness_module.load_corpus(source.path, source.completeness, source.name)
+            for spec in config.geoparsers:
+                evaluate(spec, corpus, gazetteer, cache_dir=config.cache_dir)
+        assert len(calls) == 4
+        assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == names
+
+    def test_builtin_parses_on_the_calling_thread(self, tmp_path, monkeypatch):
+        import threading
+
+        from geobench.geoparser import BuiltinGeoparser
+
+        config = self.two_corpora_two_builtins(tmp_path, cache=False)
+        threads = set()
+        original = BuiltinGeoparser.parse_document
+
+        def record(self, doc):
+            threads.add(threading.get_ident())
+            return original(self, doc)
+
+        monkeypatch.setattr(BuiltinGeoparser, "parse_document", record)
+        run_benchmark(config, tmp_path / "w4", workers=4)
+        assert threads == {threading.get_ident()}
+        run_benchmark(config, tmp_path / "w1", workers=1)
+        run_benchmark(config, tmp_path / "w2", workers=2)
+        for sub in ("reports", "leaderboards"):
+            produced = sorted((tmp_path / "w2" / sub).iterdir())
+            assert [p.name for p in produced] == [p.name for p in sorted((tmp_path / "w1" / sub).iterdir())]
+            for path in produced:
+                assert path.read_bytes() == (tmp_path / "w1" / sub / path.name).read_bytes()
+        echoed = [json.loads((tmp_path / run / "run_config.json").read_text()) for run in ("w1", "w2")]
+        assert [e.pop("parallelism") for e in echoed] == [1, 2]
+        assert echoed[0] == echoed[1]
+
     def test_index_run_hits_cache_primed_by_tsv_run(self, tmp_path, monkeypatch):
         from geobench import ingest_gazetteer, save_index
 

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from functools import lru_cache
 from itertools import permutations
 
@@ -22,6 +23,7 @@ from geobench import (
     precision_recall_f1,
     recognition_accuracy,
 )
+from helpers import reference_align_overlap
 
 # ---------------------------------------------------------------------------
 # independent references
@@ -164,6 +166,86 @@ class TestAlignOverlap:
                 if size == 0:
                     best = ()
             assert got == best
+
+    def test_matches_reference_on_random_layouts(self):
+        # endpoints drawn from a few breakpoints make touching, nested,
+        # identical and empty spans common; predictions may repeat a span,
+        # gold may not
+        rng = random.Random(13)
+        seen = dict.fromkeys(("empty side", "nested", "touching", "duplicate pred", "empty span"), 0)
+        for _ in range(20_000):
+            points = sorted(rng.sample(range(40), rng.randrange(2, 10)))
+
+            def span():
+                return tuple(sorted(rng.choices(points, k=2)))
+
+            g_spans = sorted({span() for _ in range(rng.randrange(0, 10))})
+            p_spans = sorted(span() for _ in range(rng.randrange(0, 10)))
+            gold = [GoldToponym(s, e, "x" * (e - s)) for s, e in g_spans]
+            pred = [PredictedToponym(s, e, "x" * (e - s)) for s, e in p_spans]
+            assert list(align(gold, pred, "overlap").pairs) == reference_align_overlap(gold, pred)
+            spans = g_spans + p_spans
+            seen["empty side"] += not g_spans or not p_spans
+            seen["nested"] += any(a[0] <= b[0] and b[1] <= a[1] and a != b for a in spans for b in spans)
+            seen["touching"] += any(a[1] == b[0] for a in spans for b in spans)
+            seen["duplicate pred"] += len(set(p_spans)) < len(p_spans)
+            seen["empty span"] += any(s == e for s, e in spans)
+        assert min(seen.values()) > 1_000, seen
+
+
+def within_budget(gold_spans, pred_spans, seconds=1.0):
+    gold = [GoldToponym(s, e, "x" * (e - s)) for s, e in gold_spans]
+    pred = [PredictedToponym(s, e, "x" * (e - s)) for s, e in pred_spans]
+    start = time.perf_counter()
+    pairs = align(gold, pred, "overlap").pairs
+    assert time.perf_counter() - start < seconds
+    return pairs
+
+
+class TestAlignOverlapBounds:
+    def test_chain_of_2000_pairs(self):
+        gold = [(2 * i, 2 * i + 2) for i in range(2000)]
+        pred = [(2 * i + 1, 2 * i + 3) for i in range(2000)]
+        assert within_budget(gold, pred) == tuple((i, i) for i in range(2000))
+
+    def test_dense_random_400_by_400(self):
+        rng = random.Random(400)
+        gold = set()
+        while len(gold) < 400:
+            start = rng.randrange(400)
+            gold.add((start, start + rng.randrange(1, 30)))
+        gold = sorted(gold)
+        pred = sorted((s, s + rng.randrange(1, 30)) for s in (rng.randrange(400) for _ in range(400)))
+        pairs = within_budget(gold, pred)
+        assert len(pairs) > 350
+        assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs)
+        for i, j in pairs:
+            assert gold[i][0] < pred[j][1] and pred[j][0] < gold[i][1]
+
+    def test_dense_block_beside_a_free_gold(self):
+        # a gold that no maximum matching covers, far from a dense block
+        # whose golds often need a second look at their candidates
+        rng = random.Random(800)
+        gold = set()
+        while len(gold) < 800:
+            start = rng.randrange(200)
+            gold.add((start, start + rng.randrange(1, 60)))
+        gold = sorted(gold) + [(10_000, 10_002), (10_001, 10_003)]
+        pred = sorted((s, s + rng.randrange(1, 60)) for s in (rng.randrange(200) for _ in range(800)))
+        pairs = within_budget(gold, pred + [(10_000, 10_003)])
+        assert len(pairs) == 801 and pairs[-1] == (800, 800)
+
+    def test_identical_and_nested_spans(self):
+        assert within_budget([(3, 9)] * 500, [(3, 9)] * 250) == tuple((i, i) for i in range(250))
+        nested_gold = [(i, 600 - i) for i in range(300)]
+        nested_pred = [(i, 601 - i) for i in range(300)]
+        assert within_budget(nested_gold, nested_pred) == tuple((i, i) for i in range(300))
+
+    def test_chain_longer_than_the_recursion_limit(self):
+        # one gold more than preds, so the last gold's search walks the whole chain
+        gold = [(0, 1)] + [(2 * i + 1, 2 * i + 3) for i in range(1200)]
+        pred = [(2 * i, 2 * i + 2) for i in range(1200)]
+        assert within_budget(gold, pred) == tuple((i, i) for i in range(1200))
 
 
 # ---------------------------------------------------------------------------
