@@ -4,8 +4,8 @@ Process adapter: the harness writes one JSON line {"id": str, "text": str}
 to the child's stdin and reads one JSON line {"id": str, "toponyms":
 [{"start": int, "end": int, "name": str, "lat": num?, "lon": num?}]} back;
 the child stays resident across documents. HTTP adapter: the same request
-object is POSTed to <endpoint>/parse and the same response object is
-expected with status 200.
+object is POSTed to <endpoint>/parse over one kept-alive connection and the
+same response object is expected with status 200.
 
 Individually invalid predictions are dropped and counted (see
 geoparser.coerce_predictions); a malformed response as a whole raises
@@ -14,12 +14,12 @@ AdapterProtocolError with the raw payload attached for diagnostics.
 
 from __future__ import annotations
 
+import http.client
 import json
 import queue
 import subprocess
 import threading
-
-import requests
+from urllib.parse import urlsplit
 
 from .corpus import Document
 from .geoparser import PredictedToponym, coerce_predictions
@@ -50,8 +50,12 @@ def _request_line(document: Document) -> str:
     return json.dumps({"id": document.id, "text": document.text}, ensure_ascii=False)
 
 
-def parse_response(document: Document, payload, raw) -> tuple[list[PredictedToponym], int]:
-    """Validate a decoded response object and coerce its toponyms."""
+def parse_response(document: Document, raw: str) -> tuple[list[PredictedToponym], int]:
+    """Decode one raw response, validate it and coerce its toponyms."""
+    try:
+        payload = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise AdapterProtocolError(f"response is not valid JSON: {exc}", payload=raw) from None
     if not isinstance(payload, dict):
         raise AdapterProtocolError("response is not a JSON object", payload=raw)
     if payload.get("id") != document.id:
@@ -85,6 +89,7 @@ class ProcessGeoparser:
                 stdout=subprocess.PIPE,
                 text=True,
                 encoding="utf-8",
+                errors="replace",  # as the HTTP adapter decodes: bad bytes fail the document, not the reader
                 bufsize=1,
             )
         except OSError as exc:
@@ -121,11 +126,7 @@ class ProcessGeoparser:
             raise AdapterTimeout(f"no response for document {document.id!r} within {self.timeout}s") from None
         if line is None:
             raise AdapterProtocolError(f"external geoparser closed stdout before answering {document.id!r}")
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise AdapterProtocolError(f"response is not valid JSON: {exc}", payload=line) from None
-        return parse_response(document, payload, line)
+        return parse_response(document, line)
 
     def close(self) -> None:
         try:
@@ -144,29 +145,44 @@ class ProcessGeoparser:
 
 
 class HttpGeoparser:
-    """POSTs documents to <endpoint>/parse and validates the responses."""
+    """POSTs documents to <endpoint>/parse over one kept-alive connection, reopened once if dropped.
+
+    Use one instance per worker thread. A timeout or a failed request closes
+    the connection, so a late answer cannot reach a later document.
+    """
 
     def __init__(self, endpoint: str, timeout: float = DEFAULT_TIMEOUT):
         self.url = endpoint.rstrip("/") + "/parse"
         self.timeout = timeout
-        self._session = requests.Session()
+        parts = urlsplit(self.url)
+        if parts.scheme not in ("http", "https") or not parts.hostname or "@" in parts.netloc:
+            raise ValueError(f"external-http endpoint needs an http(s) URL with a host and no user info: {endpoint!r}")
+        self._target = parts.path + (f"?{parts.query}" if parts.query else "")
+        connection = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
+        self._conn = connection(parts.hostname, parts.port, timeout=timeout)
 
     def parse_document(self, document: Document) -> tuple[list[PredictedToponym], int]:
+        body = _request_line(document).encode("utf-8")
         try:
-            resp = self._session.post(
-                self.url, json={"id": document.id, "text": document.text}, timeout=self.timeout
-            )
-        except requests.Timeout:
+            try:
+                status, raw = self._post(body)
+            except (BrokenPipeError, ConnectionResetError):  # a dropped keep-alive, RemoteDisconnected included
+                self._conn.close()
+                status, raw = self._post(body)
+        except TimeoutError:
+            self._conn.close()
             raise AdapterTimeout(f"no response for document {document.id!r} within {self.timeout}s") from None
-        except requests.RequestException as exc:
+        except (OSError, http.client.HTTPException) as exc:
+            self._conn.close()
             raise AdapterError(f"request to {self.url} failed: {exc}") from exc
-        if resp.status_code != 200:
-            raise AdapterProtocolError(f"HTTP {resp.status_code} from {self.url}", payload=resp.text)
-        try:
-            payload = resp.json()
-        except ValueError as exc:
-            raise AdapterProtocolError(f"response is not valid JSON: {exc}", payload=resp.text) from None
-        return parse_response(document, payload, resp.text)
+        if status != 200:
+            raise AdapterProtocolError(f"HTTP {status} from {self.url}", payload=raw)
+        return parse_response(document, raw)
+
+    def _post(self, body: bytes) -> tuple[int, str]:
+        self._conn.request("POST", self._target, body, {"Content-Type": "application/json"})
+        response = self._conn.getresponse()
+        return response.status, response.read().decode("utf-8", errors="replace")
 
     def close(self) -> None:
-        self._session.close()
+        self._conn.close()

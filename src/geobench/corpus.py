@@ -149,6 +149,16 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
     return out
 
 
+def is_json_int(value) -> bool:
+    """Whether a decoded JSON value is an integer; JSON true and false decode to bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_json_number(value) -> bool:
+    """Whether a decoded JSON value is a number (integer or float), not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_toponym(raw: dict, doc_id: str) -> GoldToponym:
     try:
         start = raw["start"]
@@ -156,14 +166,14 @@ def _parse_toponym(raw: dict, doc_id: str) -> GoldToponym:
         name = raw["name"]
     except (KeyError, TypeError) as exc:
         raise CorpusFormatError(f"document {doc_id!r}: toponym record missing {exc}") from None
-    if not isinstance(start, int) or not isinstance(end, int) or not isinstance(name, str):
+    if not is_json_int(start) or not is_json_int(end) or not isinstance(name, str):
         raise CorpusFormatError(f"document {doc_id!r}: toponym fields have wrong types")
     lat, lon = raw.get("lat"), raw.get("lon")
     if (lat is None) != (lon is None):
         raise CorpusFormatError(f"document {doc_id!r}: toponym {name!r} has only one of lat/lon")
     point = None
     if lat is not None:
-        if not isinstance(lat, (int, float)) or not isinstance(lon, (int, float)):
+        if not is_json_number(lat) or not is_json_number(lon):
             raise CorpusFormatError(f"document {doc_id!r}: non-numeric coordinates for {name!r}")
         point = GeoPoint(float(lat), float(lon))
     gaz_id = raw.get("gazetteer_id")

@@ -11,12 +11,13 @@ that turns a GeoparserSpec into a runnable parser.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from typing import NamedTuple
 
-from .corpus import Document, GeoPoint
+from .corpus import Document, GeoPoint, is_json_int, is_json_number
 from .gazetteer import WORD, Gazetteer, GazetteerEntry, normalize_name
 
 GEOPARSER_KINDS = ("builtin-baseline", "external-process", "external-http")
@@ -132,19 +133,15 @@ def recognize_lexicon(document: Document, gazetteer: Gazetteer, config: Recogniz
             continue
         longest = min(config.max_ngram, n - i)
         first = normalize_name(text[start:first_end], fold)
-        if _leads_every_ngram(text, tokens, i, first, longest, fold):
-            # only names with head `first`, and no longer than its limit, can match
-            limit = heads.get(first, 0)
-            ngrams = []
-            for k in range(1, longest + 1):
-                normalized = normalize_name(text[start : tokens[i + k - 1][1]], fold) if k > 1 else first
-                if len(normalized) > limit:  # n-grams only grow with k
-                    break
-                ngrams.append((k, normalized))
-            ngrams.reverse()
-        else:
-            ngrams = ((k, normalize_name(text[start : tokens[i + k - 1][1]], fold)) for k in range(longest, 0, -1))
-        for k, normalized in ngrams:
+        # only names with head `first`, and no longer than its limit, can match
+        limit = heads.get(first, 0) if _leads_every_ngram(text, tokens, i, first, longest, fold) else math.inf
+        ngrams = []
+        for k in range(1, longest + 1):
+            normalized = normalize_name(text[start : tokens[i + k - 1][1]], fold) if k > 1 else first
+            if len(normalized) > limit:  # n-grams only grow with k
+                break
+            ngrams.append((k, normalized))
+        for k, normalized in reversed(ngrams):
             if normalized not in config.stoplist and normalized in lexicon:
                 end = tokens[i + k - 1][1]
                 spans.append(Span(start, end, text[start:end]))
@@ -209,7 +206,7 @@ def coerce_predictions(text: str, raw_toponyms: list) -> tuple[list[PredictedTop
             dropped += 1
             continue
         start, end = item.get("start"), item.get("end")
-        if not isinstance(start, int) or not isinstance(end, int) or not (0 <= start < end <= len(text)):
+        if not is_json_int(start) or not is_json_int(end) or not (0 <= start < end <= len(text)):
             dropped += 1
             continue
         slice_ = text[start:end]
@@ -223,7 +220,7 @@ def coerce_predictions(text: str, raw_toponyms: list) -> tuple[list[PredictedTop
             continue
         point = None
         if lat is not None:
-            if not isinstance(lat, (int, float)) or not isinstance(lon, (int, float)):
+            if not is_json_number(lat) or not is_json_number(lon):
                 dropped += 1
                 continue
             point = GeoPoint(float(lat), float(lon))
@@ -231,7 +228,7 @@ def coerce_predictions(text: str, raw_toponyms: list) -> tuple[list[PredictedTop
                 dropped += 1
                 continue
         entry_id = item.get("entry_id")
-        if entry_id is not None and not isinstance(entry_id, int):
+        if entry_id is not None and not is_json_int(entry_id):
             entry_id = None
         predictions.append(PredictedToponym(start, end, name, point=point, entry_id=entry_id))
     predictions.sort(key=lambda p: (p.start, p.end))

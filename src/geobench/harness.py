@@ -17,7 +17,7 @@ import re
 import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from io import StringIO
 from pathlib import Path
 
@@ -469,10 +469,11 @@ def run_benchmark(
     corpus under leaderboards/, and an echo of the effective run config.
     Output bytes are independent of the worker count.
     """
+    workers = config.parallelism if workers is None else workers
+    config = replace(config, parallelism=workers)  # RunConfig rejects a count below 1
     out = Path(out_dir)
     (out / "reports").mkdir(parents=True, exist_ok=True)
     (out / "leaderboards").mkdir(parents=True, exist_ok=True)
-    workers = config.parallelism if workers is None else workers
     cache_dir = config.cache_dir if use_cache else None
 
     # only the builtin reads the gazetteer; external-only runs skip the load

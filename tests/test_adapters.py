@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
 import sys
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import time
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
+from pathlib import Path
+
+import geobench
 
 import pytest
 
@@ -69,6 +75,19 @@ class TestProcessAdapter:
             with pytest.raises(AdapterProtocolError) as info:
                 parser.parse_document(DOC)
             assert "not json" in info.value.payload
+        finally:
+            parser.close()
+
+    def test_invalid_utf8_raises_protocol_error_at_once(self, tmp_path):
+        command = make_child(
+            tmp_path, "import sys\nfor line in sys.stdin:\n    sys.stdout.buffer.write(b'\\xff not utf-8\\n')\n"
+            "    sys.stdout.flush()\n"
+        )
+        parser = ProcessGeoparser(command, timeout=5)
+        try:
+            with pytest.raises(AdapterProtocolError, match="not valid JSON") as info:
+                parser.parse_document(DOC)
+            assert "not utf-8" in info.value.payload
         finally:
             parser.close()
 
@@ -225,3 +244,80 @@ class TestHttpAdapter:
         with pytest.raises(AdapterError):
             parser.parse_document(DOC)
         parser.close()
+
+
+class _KeptAliveHandler(BaseHTTPRequestHandler):
+    """Answers with the request's id over HTTP/1.1; 'slow' is answered after a second."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    drop_after_answer = False
+
+    def do_POST(self):
+        request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        if request["id"] == "slow":
+            time.sleep(1.0)
+        body = json.dumps({"id": request["id"], "toponyms": FIXTURE.get(request["id"], [])}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+        # closes the connection without having sent 'Connection: close'
+        self.close_connection = self.drop_after_answer
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def kept_alive_server():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _KeptAliveHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    _KeptAliveHandler.drop_after_answer = False
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+class TestHttpConnection:
+    def test_late_answer_never_reaches_the_next_document(self, kept_alive_server):
+        parser = HttpGeoparser(f"http://127.0.0.1:{kept_alive_server.server_port}", timeout=0.3)
+        try:
+            with pytest.raises(AdapterTimeout):
+                parser.parse_document(Document("slow", "some text", ()))
+            time.sleep(1.0)  # the late answer has been sent by now
+            predictions, dropped = parser.parse_document(DOC)
+        finally:
+            parser.close()
+        assert dropped == 0
+        assert [(p.start, p.end, p.name) for p in predictions] == [(0, 6, "Berlin")]
+
+    def test_connection_dropped_by_the_server_is_reopened(self, kept_alive_server):
+        _KeptAliveHandler.drop_after_answer = True
+        parser = HttpGeoparser(f"http://127.0.0.1:{kept_alive_server.server_port}/")
+        try:
+            for _ in range(5):
+                predictions, _ = parser.parse_document(DOC)
+                assert predictions[0].name == "Berlin"
+        finally:
+            parser.close()
+
+    @pytest.mark.parametrize("endpoint", ["localhost:8000", "ftp://h/", "http://u:p@h/", "http:///parse"])
+    def test_endpoint_must_be_http_with_a_host_and_no_user_info(self, endpoint):
+        with pytest.raises(ValueError, match="endpoint"):
+            HttpGeoparser(endpoint)
+
+
+def test_cli_import_loads_no_http_library():
+    # certifi is left out: a site .pth file of some Python installations preloads it
+    libraries = ["requests", "urllib3", "idna", "charset_normalizer"]
+    code = f"import sys, geobench.cli; print(sorted(set({libraries}) & set(sys.modules)))"
+    src = str(Path(geobench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True
+    )
+    assert result.stdout.strip() == "[]"

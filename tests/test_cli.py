@@ -158,3 +158,10 @@ class TestRunReportCompare:
         assert not (run_setup.parent / "cache").exists()
         assert main(["run", "--config", str(run_setup), "--out", str(tmp_path / "o2")]) == 0
         assert (run_setup.parent / "cache").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_count_below_one_is_data_error(self, run_setup, tmp_path, capsys, workers):
+        out = tmp_path / "run-dir"
+        assert main(["run", "--config", str(run_setup), "--out", str(out), "--workers", workers]) == 2
+        assert "parallelism must be >= 1" in capsys.readouterr().err
+        assert not (out / "run_config.json").exists()

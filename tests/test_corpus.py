@@ -76,6 +76,20 @@ class TestLoad:
         with pytest.raises(CorpusFormatError, match="only one of lat/lon"):
             load_corpus(path)
 
+    @pytest.mark.parametrize(
+        "toponym, message",
+        [
+            ({"start": False, "end": True, "name": "B"}, "wrong types"),
+            ({"start": 0, "end": 6, "name": "Berlin", "lat": True, "lon": False}, "non-numeric coordinates"),
+        ],
+        ids=["bool-offsets", "bool-coordinates"],
+    )
+    def test_bools_are_not_numbers(self, tmp_path, toponym, message):
+        path = tmp_path / "c.jsonl"
+        write_lines(path, [dict(BERLIN_DOC, toponyms=[toponym])])
+        with pytest.raises(CorpusFormatError, match=message):
+            load_corpus(path)
+
     def test_duplicate_document_id(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_lines(path, [BERLIN_DOC, BERLIN_DOC])

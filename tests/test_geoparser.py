@@ -393,6 +393,22 @@ class TestCoercePredictions:
         predictions, dropped = coerce_predictions(self.TEXT, [item])
         assert predictions == [] and dropped == 1
 
+    @pytest.mark.parametrize(
+        "item",
+        [
+            {"start": False, "end": True, "name": "B"},
+            {"start": 0, "end": 6, "name": "Berlin", "lat": True, "lon": False},
+        ],
+        ids=["bool-offsets", "bool-coordinates"],
+    )
+    def test_bools_are_not_numbers(self, item):
+        predictions, dropped = coerce_predictions(self.TEXT, [item])
+        assert predictions == [] and dropped == 1
+
+    def test_bool_entry_id_becomes_none(self):
+        predictions, dropped = coerce_predictions(self.TEXT, [{"start": 0, "end": 6, "entry_id": True}])
+        assert dropped == 0 and predictions[0].entry_id is None
+
     def test_non_dict_items_dropped(self):
         predictions, dropped = coerce_predictions(self.TEXT, ["junk", 7])
         assert predictions == [] and dropped == 2
