@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import queue
 import subprocess
 import threading
 from urllib.parse import urlsplit
 
-from .corpus import Document
+from .corpus import Document, is_json_number
 from .geoparser import PredictedToponym, coerce_predictions
 
 DEFAULT_TIMEOUT = 120.0
@@ -44,6 +45,13 @@ class AdapterProtocolError(AdapterError):
     def __init__(self, message: str, payload=None):
         super().__init__(message)
         self.payload = payload
+
+
+def _checked_timeout(timeout) -> float:
+    """A per-document timeout in seconds: a finite JSON number above zero, checked before any socket or child."""
+    if not is_json_number(timeout) or not 0 < timeout < math.inf:  # also false for NaN
+        raise ValueError(f"geoparser timeout must be a finite number of seconds above 0, got {timeout!r}")
+    return timeout
 
 
 def _request_line(document: Document) -> str:
@@ -78,7 +86,7 @@ class ProcessGeoparser:
 
     def __init__(self, command: list[str], timeout: float = DEFAULT_TIMEOUT):
         self.command = command
-        self.timeout = timeout
+        self.timeout = _checked_timeout(timeout)
         self._start()
 
     def _start(self) -> None:
@@ -153,7 +161,7 @@ class HttpGeoparser:
 
     def __init__(self, endpoint: str, timeout: float = DEFAULT_TIMEOUT):
         self.url = endpoint.rstrip("/") + "/parse"
-        self.timeout = timeout
+        self.timeout = _checked_timeout(timeout)
         parts = urlsplit(self.url)
         if parts.scheme not in ("http", "https") or not parts.hostname or "@" in parts.netloc:
             raise ValueError(f"external-http endpoint needs an http(s) URL with a host and no user info: {endpoint!r}")

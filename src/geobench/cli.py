@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 
 from .adapters import AdapterError
@@ -133,13 +134,7 @@ def _cmd_run(args) -> int:
         from dataclasses import replace
 
         config = replace(config, metrics=replace(config.metrics, match_mode=args.match_mode))
-    run_benchmark(
-        config,
-        args.out,
-        workers=args.workers,
-        use_cache=not args.no_cache,
-        progress=lambda msg: print(msg, file=sys.stderr),
-    )
+    run_benchmark(config, args.out, workers=args.workers, use_cache=not args.no_cache)
     print(f"run written to {args.out}", file=sys.stderr)
     return EXIT_OK
 
@@ -172,6 +167,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    # run messages (the harness's progress and cache warnings) print bare on stderr
+    logging.basicConfig(format="%(message)s", level=logging.INFO)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -24,7 +24,7 @@ GEOPARSER_KINDS = ("builtin-baseline", "external-process", "external-http")
 
 
 class NoCandidateError(LookupError):
-    """The gazetteer holds no candidate for a name; the toponym stays unresolved."""
+    """The gazetteer holds no candidate for a name."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,8 +155,7 @@ def recognize_lexicon(document: Document, gazetteer: Gazetteer, config: Recogniz
 def resolve_population(name: str, gazetteer: Gazetteer, primary_only: bool = False) -> GazetteerEntry:
     """Resolve a name to its most populous candidate (ties: smallest id).
 
-    Raises NoCandidateError when the gazetteer has no entry for the name;
-    the pipeline then keeps the span with no point.
+    Raises NoCandidateError when the gazetteer has no entry for the name.
     """
     entry = gazetteer.lexicon(primary_only).get(normalize_name(name, gazetteer.fold_diacritics))
     if entry is None:
@@ -177,14 +176,10 @@ class BuiltinGeoparser:
 
     def parse_document(self, document: Document) -> tuple[list[PredictedToponym], int]:
         predictions = []
+        # a recognized span's normalized name is in the lexicon, so it always resolves
         for span in recognize_lexicon(document, self.gazetteer, self.config):
-            try:
-                entry = resolve_population(span.name, self.gazetteer, self.config.primary_names_only)
-                predictions.append(
-                    PredictedToponym(span.start, span.end, span.name, point=entry.point, entry_id=entry.id)
-                )
-            except NoCandidateError:
-                predictions.append(PredictedToponym(span.start, span.end, span.name))
+            entry = resolve_population(span.name, self.gazetteer, self.config.primary_names_only)
+            predictions.append(PredictedToponym(span.start, span.end, span.name, point=entry.point, entry_id=entry.id))
         return predictions, 0
 
     def close(self) -> None:

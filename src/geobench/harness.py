@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import re
 import tempfile
@@ -21,10 +22,10 @@ from dataclasses import dataclass, field, replace
 from io import StringIO
 from pathlib import Path
 
-from .adapters import AdapterError
-from .corpus import Corpus, document_to_json_line, load_corpus, load_manifest
+from .adapters import AdapterError, AdapterProtocolError, parse_response
+from .corpus import Corpus, document_to_json_line, is_json_int, load_corpus, load_manifest
 from .gazetteer import Gazetteer, ingest_gazetteer, load_index
-from .geoparser import GeoparserSpec, PredictedToponym, coerce_predictions, create_geoparser
+from .geoparser import GeoparserSpec, PredictedToponym, create_geoparser
 from .metrics import EvalReport, MetricsConfig, align, build_report, distance_errors, warn_missing_gold
 
 # Text/CSV column order for rendered leaderboards.
@@ -33,6 +34,9 @@ METRIC_COLUMNS = ("precision", "recall", "f_score", "accuracy", "mean", "median"
 # More than this fraction of documents failing aborts the run; at or below
 # it, failed documents score as zero predictions and are listed in warnings.
 FAILURE_ABORT_FRACTION = 0.10
+
+# run messages: progress at INFO, cache entries that were corrupt or not written at WARNING
+log = logging.getLogger(__name__)
 
 
 class RunConfigError(Exception):
@@ -111,15 +115,21 @@ def load_run_config(path: str | Path) -> RunConfig:
         )
         metrics = MetricsConfig(**raw.get("metrics", {}))
         cache_dir = raw.get("cache_dir")
+        fold_diacritics = gaz.get("fold_diacritics", False)
+        if not isinstance(fold_diacritics, bool):
+            raise TypeError(f"gazetteer fold_diacritics must be true or false, got {fold_diacritics!r}")
+        parallelism = raw.get("parallelism", 1)
+        if not is_json_int(parallelism):
+            raise TypeError(f"parallelism must be a JSON integer, got {parallelism!r}")
         return RunConfig(
             corpora=tuple(corpora),
             gazetteer_path=_resolve(gaz["path"]),
             gazetteer_schema=gaz.get("schema", "geonames"),
-            fold_diacritics=bool(gaz.get("fold_diacritics", False)),
+            fold_diacritics=fold_diacritics,
             geoparsers=geoparsers,
             metrics=metrics,
             cache_dir=_resolve(cache_dir) if cache_dir else None,
-            parallelism=int(raw.get("parallelism", 1)),
+            parallelism=parallelism,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise RunConfigError(f"invalid run config {path}: {exc}") from None
@@ -205,34 +215,32 @@ def load_cached(
     corpus: Corpus,
     cache_dir: str | Path,
     gazetteer: Gazetteer | None = None,
-    warnings: list[str] | None = None,
     *,
     path: Path | None = None,
 ) -> dict[str, list[PredictedToponym]] | None:
-    """Reload cached predictions (from `path` if given), or None on a miss or a corrupt entry."""
+    """Reload cached predictions (from `path` if given), or None on a miss or a corrupt entry.
+
+    The file holds one adapter response per document, in corpus order, and
+    is read through the adapters' decoder. A line count or id that does not
+    match the corpus, or any dropped prediction, makes the entry corrupt:
+    that is logged and the predictions are recomputed.
+    """
     path = path or _cache_path(cache_dir, spec, corpus, gazetteer)
     if not path.exists():
         return None
-    texts = {doc.id: doc.text for doc in corpus.documents}
     loaded: dict[str, list[PredictedToponym]] = {}
     try:
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                record = json.loads(line)
-                doc_id = record["id"]
-                if doc_id not in texts or doc_id in loaded:
-                    raise ValueError(f"unexpected document id {doc_id!r}")
-                predictions, dropped = coerce_predictions(texts[doc_id], record["toponyms"])
-                if dropped:
-                    raise ValueError(f"{dropped} invalid predictions for {doc_id!r}")
-                loaded[doc_id] = predictions
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        if warnings is not None:
-            warnings.append(f"cache entry {path.name} corrupt ({exc}); recomputing")
-        return None
-    if set(loaded) != set(texts):
-        if warnings is not None:
-            warnings.append(f"cache entry {path.name} incomplete; recomputing")
+            lines = list(fh)
+        if len(lines) != len(corpus.documents):
+            raise ValueError(f"{len(lines)} lines for {len(corpus.documents)} documents")
+        for doc, line in zip(corpus.documents, lines):
+            predictions, dropped = parse_response(doc, line)
+            if dropped:
+                raise ValueError(f"{dropped} invalid predictions for {doc.id!r}")
+            loaded[doc.id] = predictions
+    except (OSError, ValueError, AdapterProtocolError) as exc:
+        log.warning("cache entry %s corrupt (%s); recomputing", path.name, exc)
         return None
     return loaded
 
@@ -305,7 +313,7 @@ def evaluate(
     predictions = cache_path = None
     if cache_dir is not None:
         cache_path = _cache_path(cache_dir, spec, corpus, gazetteer, corpus_hash)
-        predictions = load_cached(spec, corpus, cache_dir, gazetteer, warnings, path=cache_path)
+        predictions = load_cached(spec, corpus, cache_dir, gazetteer, path=cache_path)
     if predictions is None:
         results = _parse_all(spec, corpus, gazetteer, workers)
         failed = sorted(doc_id for doc_id, (_, _, err) in results.items() if err is not None)
@@ -322,8 +330,11 @@ def evaluate(
         if dropped_total:
             warnings.append(f"{dropped_total} invalid predictions dropped")
         predictions = {doc_id: preds for doc_id, (preds, _, _) in results.items()}
-        if cache_dir is not None and not failed:
-            cache_predictions(spec, corpus, predictions, cache_dir, gazetteer, path=cache_path)
+        if cache_dir is not None and not warnings:  # so that a hit reproduces this report
+            try:
+                cache_predictions(spec, corpus, predictions, cache_dir, gazetteer, path=cache_path)
+            except OSError as exc:
+                log.warning("cache entry %s not written (%s)", cache_path.name, exc)
 
     gold_total = pred_total = matched_total = unresolved_total = missing_gold_total = 0
     pooled_distances: list[float] = []
@@ -393,14 +404,14 @@ def _format_cell(value, blank: str) -> str:
     return blank if value is None else f"{value:.3f}"
 
 
-def render_report(board: Leaderboard, format: str = "text-table") -> bytes:
+def render_report(board: Leaderboard, format: str = "text") -> bytes:
     """Render a leaderboard as a text table, CSV, or JSON byte stream.
 
     Ratios and kilometer values are printed with 3 decimal places;
     suppressed or absent metrics render as "-" (text), an empty cell
     (CSV), or null (JSON).
     """
-    if format in ("text-table", "text"):
+    if format == "text":
         header = ["geoparser", *METRIC_COLUMNS]
         lines = [header]
         for identifier, report in board.rows:
@@ -461,7 +472,6 @@ def run_benchmark(
     *,
     workers: int | None = None,
     use_cache: bool = True,
-    progress=None,
 ) -> dict[str, Leaderboard]:
     """Evaluate every (geoparser, corpus) pair and write a run directory.
 
@@ -486,8 +496,7 @@ def run_benchmark(
         corpus_hash = None
         rows = []
         for spec in config.geoparsers:
-            if progress:
-                progress(f"evaluating {spec.identifier} on {source.name}")
+            log.info("evaluating %s on %s", spec.identifier, source.name)
             if cache_dir is not None and corpus_hash is None:
                 corpus_hash = corpus_digest(corpus)  # once per corpus, as part of its first evaluation
             report = evaluate(

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -309,6 +310,20 @@ class TestHttpConnection:
     def test_endpoint_must_be_http_with_a_host_and_no_user_info(self, endpoint):
         with pytest.raises(ValueError, match="endpoint"):
             HttpGeoparser(endpoint)
+
+
+@pytest.mark.parametrize("timeout", [0, -1, float("nan"), float("inf"), True, "5"], ids=repr)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda timeout: ProcessGeoparser([sys.executable, "-c", "pass"], timeout=timeout),
+        lambda timeout: HttpGeoparser("http://127.0.0.1:9/", timeout=timeout),
+    ],
+    ids=["process", "http"],
+)
+def test_timeout_must_be_a_finite_number_above_zero(make, timeout):
+    with pytest.raises(ValueError, match=re.escape(repr(timeout))):
+        make(timeout)
 
 
 def test_cli_import_loads_no_http_library():

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import geobench
 from geobench import save_index
 from geobench.cli import main
 from helpers import geonames_row, smoke_corpus_and_gazetteer, write_corpus_files
@@ -151,6 +156,54 @@ class TestRunReportCompare:
         )
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 3
         assert "adapter error" in capsys.readouterr().err
+
+    def test_zero_timeout_is_data_error(self, tmp_path, capsys):
+        corpus, _ = smoke_corpus_and_gazetteer(2, name="demo")
+        corpus_path, _ = write_corpus_files(corpus, tmp_path)
+        config = tmp_path / "run.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "corpora": [{"name": "demo", "path": corpus_path.name}],
+                    "gazetteer": {"path": "unused.tsv"},
+                    "geoparsers": [
+                        {
+                            "kind": "external-process",
+                            "identifier": "zero",
+                            "parameters": {"command": [sys.executable, "-c", "pass"], "timeout": 0},
+                        }
+                    ],
+                }
+            ),
+            encoding="utf-8",
+        )
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert "timeout" in capsys.readouterr().err
+
+    def test_stderr_marks_each_evaluation_then_the_run_directory(self, run_setup, tmp_path):
+        # a benchmark of `geobench run` ends its set-up time at the first line starting "evaluating "
+        raw = json.loads(run_setup.read_text(encoding="utf-8"))
+        raw["geoparsers"].append(
+            {"kind": "builtin-baseline", "identifier": "no-caps", "parameters": {"require_capitalized": False}}
+        )
+        run_setup.write_text(json.dumps(raw), encoding="utf-8")
+        src = str(Path(geobench.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def run(out):
+            command = [sys.executable, "-m", "geobench.cli", "run", "--config", str(run_setup), "--out", str(out)]
+            result = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
+            assert result.returncode == 0, result.stderr
+            return result.stderr.splitlines()
+
+        evaluating = ["evaluating baseline on demo", "evaluating no-caps on demo"]
+        assert run(tmp_path / "r1") == [*evaluating, f"run written to {tmp_path / 'r1'}"]
+        cache_file = next((run_setup.parent / "cache").glob("baseline__demo__*.jsonl"))
+        cache_file.write_text("{broken\n", encoding="utf-8")
+        lines = run(tmp_path / "r2")
+        assert [lines[0], *lines[2:]] == [*evaluating, f"run written to {tmp_path / 'r2'}"]
+        assert lines[1].startswith(f"cache entry {cache_file.name} corrupt (")
+        assert lines[1].endswith("); recomputing")
 
     def test_no_cache_flag(self, run_setup, tmp_path):
         out = tmp_path / "run-dir"

@@ -195,18 +195,51 @@ class TestCache:
         cache_predictions(BUILTIN, corpus, predictions, tmp_path, gazetteer)
         assert load_cached(BUILTIN, corpus, tmp_path, other_gazetteer) is None
 
-    def test_corrupt_line_recomputes_with_warning(self, tmp_path):
+    def test_corrupt_line_recomputes_with_warning(self, tmp_path, caplog):
         corpus, gazetteer = smoke_corpus_and_gazetteer(3)
-        evaluate(BUILTIN, corpus, gazetteer, cache_dir=tmp_path)
+        first = evaluate(BUILTIN, corpus, gazetteer, cache_dir=tmp_path)
         cache_file = next(tmp_path.glob("*.jsonl"))
         lines = cache_file.read_text().splitlines()
         lines[1] = "{broken"
         cache_file.write_text("\n".join(lines) + "\n")
         report = evaluate(BUILTIN, corpus, gazetteer, cache_dir=tmp_path)
-        assert any("corrupt" in w for w in report.warnings)
-        assert report.f_score == 1.0  # recomputed, and the cache was rewritten
-        fresh = evaluate(BUILTIN, corpus, gazetteer, cache_dir=tmp_path)
-        assert not any("corrupt" in w for w in fresh.warnings)
+        assert any("corrupt" in r.getMessage() for r in caplog.records)
+        assert report == first  # recomputed; the warning is logged, never part of the report
+        caplog.clear()
+        evaluate(BUILTIN, corpus, gazetteer, cache_dir=tmp_path)
+        assert not caplog.records  # the cache was rewritten
+
+    @pytest.mark.parametrize("edit", ["swap", "cut"])
+    def test_reordered_or_truncated_file_is_corrupt(self, tmp_path, caplog, edit):
+        corpus, gazetteer = smoke_corpus_and_gazetteer(4)
+        evaluate(BUILTIN, corpus, gazetteer, cache_dir=tmp_path)
+        cache_file = next(tmp_path.glob("*.jsonl"))
+        lines = cache_file.read_text().splitlines(keepends=True)
+        lines = [lines[1], lines[0], *lines[2:]] if edit == "swap" else lines[:-1]
+        cache_file.write_text("".join(lines))
+        report = evaluate(BUILTIN, corpus, gazetteer, cache_dir=tmp_path)
+        assert any("corrupt" in r.getMessage() for r in caplog.records)
+        assert report == evaluate(BUILTIN, corpus, gazetteer)
+
+    def test_hit_keeps_the_dropped_prediction_warning(self, tmp_path):
+        corpus, _ = smoke_corpus_and_gazetteer(3)
+        fixture = gold_replay_fixture(corpus)
+        for items in fixture.values():
+            items.append({"start": 0, "end": 10**6, "name": "out of bounds"})
+        spec = replay_spec(tmp_path, fixture)
+        fresh = evaluate(spec, corpus, cache_dir=tmp_path / "cache")
+        again = evaluate(spec, corpus, cache_dir=tmp_path / "cache")
+        assert "3 invalid predictions dropped" in fresh.warnings
+        assert again.to_dict() == fresh.to_dict()
+        assert not list((tmp_path / "cache").glob("*"))  # only a warning-free parse is stored
+
+    def test_unwritable_cache_dir_is_logged_not_fatal(self, tmp_path, caplog):
+        corpus, gazetteer = smoke_corpus_and_gazetteer(3)
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        report = evaluate(BUILTIN, corpus, gazetteer, cache_dir=blocker / "cache")
+        assert report == evaluate(BUILTIN, corpus, gazetteer)
+        assert any("not written" in r.getMessage() for r in caplog.records)
 
     def test_parameters_in_key(self, tmp_path):
         # same identifier and cache dir, different parameters: the second run must not reuse the first
@@ -371,6 +404,27 @@ class TestRunConfig:
         assert config.corpora[0].path == str(corpus_path)  # resolved relative to the config
         assert config.metrics.match_mode == "overlap"
         assert config.parallelism == 2
+
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            {"gazetteer": {"path": "g.tsv", "fold_diacritics": "false"}},
+            {"parallelism": True},
+            {"parallelism": 2.9},
+            {"parallelism": "2"},
+        ],
+        ids=["fold-string", "parallelism-bool", "parallelism-float", "parallelism-string"],
+    )
+    def test_scalars_are_not_coerced(self, tmp_path, patch):
+        raw = {
+            "corpora": [{"name": "c", "path": "c.jsonl"}],
+            "gazetteer": {"path": "g.tsv"},
+            "geoparsers": [{"kind": "builtin-baseline", "identifier": "b"}],
+        }
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**raw, **patch}), encoding="utf-8")
+        with pytest.raises(RunConfigError, match="fold_diacritics|parallelism"):
+            load_run_config(path)
 
     def test_malformed_config(self, tmp_path):
         path = tmp_path / "run.json"
