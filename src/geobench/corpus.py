@@ -13,8 +13,11 @@ indices. Loaded corpora are immutable and safe to share between threads.
 
 from __future__ import annotations
 
+import gc
+import io
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -151,12 +154,51 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
 
 def is_json_int(value) -> bool:
     """Whether a decoded JSON value is an integer; JSON true and false decode to bool, a subclass of int."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    return type(value) is int
 
 
 def is_json_number(value) -> bool:
     """Whether a decoded JSON value is a number (integer or float), not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return type(value) in (int, float)
+
+
+@contextmanager
+def gc_paused():
+    """Hold off the cyclic garbage collector while a bulk decode builds many objects.
+
+    Decoded corpora, cached predictions and gazetteers form no cycles, yet
+    their sheer number would trigger several full collections during the
+    build, and every full collection after it would rescan them. So the
+    heap is collected once on entry, while it is still small, and on
+    success everything then alive is frozen out of later collections: the
+    collection on entry leaves no garbage cycle to be frozen with it. A
+    caller that had the collector off keeps it off.
+    """
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.collect()
+    gc.disable()
+    try:
+        yield
+        if was_enabled:
+            gc.freeze()
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+class _HashedFile(io.FileIO):
+    """A binary file that feeds every byte it reads to `file_hash`, chunk by chunk."""
+
+    def __init__(self, path, file_hash):
+        super().__init__(path)
+        self.file_hash = file_hash
+
+    def readinto(self, buffer):
+        count = super().readinto(buffer)
+        if count:
+            self.file_hash.update(memoryview(buffer)[:count])
+        return count
 
 
 def _parse_toponym(raw: dict, doc_id: str) -> GoldToponym:
@@ -181,13 +223,17 @@ def _parse_toponym(raw: dict, doc_id: str) -> GoldToponym:
     return GoldToponym(start, end, name, point=point, gazetteer_id=gaz_id, kind=kind)
 
 
-def load_corpus(path: str | Path, completeness: str = "complete", name: str | None = None) -> Corpus:
+def load_corpus(
+    path: str | Path, completeness: str = "complete", name: str | None = None, *, file_hash=None
+) -> Corpus:
     """Load a JSON-lines corpus file.
 
     `completeness` and `name` come from the corpus manifest (see
     load_manifest); they are never inferred from the data. Any malformed
     record or invariant violation aborts the load with a diagnostic citing
-    the line number and document id.
+    the line number and document id. A hashlib object given as `file_hash`
+    is fed the file's bytes as they are read, so that it hashes exactly the
+    bytes the corpus was parsed from.
     """
     path = Path(path)
     if completeness not in COMPLETENESS_VALUES:
@@ -196,10 +242,13 @@ def load_corpus(path: str | Path, completeness: str = "complete", name: str | No
     documents = []
     seen_ids = set()
     try:
-        fh = open(path, encoding="utf-8")
+        if file_hash is None:
+            fh = open(path, encoding="utf-8")
+        else:  # as open() builds it, with the raw file hashing what it reads
+            fh = io.TextIOWrapper(io.BufferedReader(_HashedFile(path, file_hash)), encoding="utf-8")
     except OSError as exc:
         raise CorpusFormatError(f"cannot read corpus file {path}: {exc}") from exc
-    with fh:
+    with fh, gc_paused():
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -8,7 +8,6 @@ gazetteer is immutable and safe for unlimited concurrent readers.
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import json
 import math
@@ -16,11 +15,10 @@ import re
 import sys
 import threading
 import unicodedata
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import GeoPoint
+from .corpus import GeoPoint, gc_paused
 
 # Zero-based column indices of the GeoNames allCountries.txt layout.
 GEONAMES_COLUMNS = {
@@ -184,7 +182,7 @@ class Gazetteer:
     def _parse_index_body(self) -> tuple[dict[int, GazetteerEntry], dict[str, list[int]]]:
         source, body = self._unparsed
         stats = IngestStats()
-        with _gc_paused():
+        with gc_paused():
             try:
                 text = body.decode("utf-8")
             except UnicodeDecodeError as exc:
@@ -346,30 +344,6 @@ def _rows(lines, cols: dict, stats: IngestStats):
         )
 
 
-@contextmanager
-def _gc_paused():
-    """Hold off the cyclic garbage collector while a gazetteer is built.
-
-    A gazetteer's objects form no cycles, yet their sheer number would
-    trigger several full collections during the build, and every full
-    collection after it would rescan them. So the heap is collected once
-    on entry, while it is still small, and on success everything then
-    alive is frozen out of later collections: the collection on entry
-    leaves no garbage cycle to be frozen with it.
-    """
-    was_enabled = gc.isenabled()
-    if was_enabled:
-        gc.collect()
-    gc.disable()
-    try:
-        yield
-        if was_enabled:
-            gc.freeze()
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
 def ingest_gazetteer(
     path: str | Path, schema="geonames", fold_diacritics: bool = False
 ) -> tuple[Gazetteer, IngestStats]:
@@ -390,7 +364,7 @@ def ingest_gazetteer(
         fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise GazetteerError(f"cannot read gazetteer file {path}: {exc}") from exc
-    with fh, _gc_paused():
+    with fh, gc_paused():
         for entry in _rows(fh, cols, stats):
             if entry.id in seen_ids:
                 stats.skip("duplicate id")

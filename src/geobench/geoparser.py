@@ -17,7 +17,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import NamedTuple
 
-from .corpus import Document, GeoPoint, is_json_int, is_json_number
+from .corpus import Document, GeoPoint
 from .gazetteer import WORD, Gazetteer, GazetteerEntry, normalize_name
 
 GEOPARSER_KINDS = ("builtin-baseline", "external-process", "external-http")
@@ -194,6 +194,8 @@ def coerce_predictions(text: str, raw_toponyms: list) -> tuple[list[PredictedTop
     bad prediction never discards a whole response. Output is sorted by
     (start, end).
     """
+    # runs once per prediction of every document, fresh or cached, so the
+    # is_json_int and is_json_number tests are written out in place
     predictions = []
     dropped = 0
     for item in raw_toponyms:
@@ -201,7 +203,7 @@ def coerce_predictions(text: str, raw_toponyms: list) -> tuple[list[PredictedTop
             dropped += 1
             continue
         start, end = item.get("start"), item.get("end")
-        if not is_json_int(start) or not is_json_int(end) or not (0 <= start < end <= len(text)):
+        if type(start) is not int or type(end) is not int or not (0 <= start < end <= len(text)):
             dropped += 1
             continue
         slice_ = text[start:end]
@@ -215,15 +217,17 @@ def coerce_predictions(text: str, raw_toponyms: list) -> tuple[list[PredictedTop
             continue
         point = None
         if lat is not None:
-            if not is_json_number(lat) or not is_json_number(lon):
+            # false for NaN, an infinity, or an integer beyond any float, so float() below never overflows
+            if (
+                type(lat) not in (int, float)
+                or type(lon) not in (int, float)
+                or not (-90 <= lat <= 90 and -180 <= lon <= 180)
+            ):
                 dropped += 1
                 continue
             point = GeoPoint(float(lat), float(lon))
-            if not point.is_valid():
-                dropped += 1
-                continue
         entry_id = item.get("entry_id")
-        if entry_id is not None and not is_json_int(entry_id):
+        if type(entry_id) is not int:
             entry_id = None
         predictions.append(PredictedToponym(start, end, name, point=point, entry_id=entry_id))
     predictions.sort(key=lambda p: (p.start, p.end))

@@ -23,7 +23,7 @@ from io import StringIO
 from pathlib import Path
 
 from .adapters import AdapterError, AdapterProtocolError, parse_response
-from .corpus import Corpus, document_to_json_line, is_json_int, load_corpus, load_manifest
+from .corpus import Corpus, document_to_json_line, gc_paused, is_json_int, load_corpus, load_manifest
 from .gazetteer import Gazetteer, ingest_gazetteer, load_index
 from .geoparser import GeoparserSpec, PredictedToponym, create_geoparser
 from .metrics import EvalReport, MetricsConfig, align, build_report, distance_errors, warn_missing_gold
@@ -35,8 +35,11 @@ METRIC_COLUMNS = ("precision", "recall", "f_score", "accuracy", "mean", "median"
 # it, failed documents score as zero predictions and are listed in warnings.
 FAILURE_ABORT_FRACTION = 0.10
 
-# run messages: progress at INFO, cache entries that were corrupt or not written at WARNING
+# run messages: progress at INFO, cache entries and corpus keys that were corrupt or not written at WARNING
 log = logging.getLogger(__name__)
+
+# a remembered corpus key: one corpus_digest and a newline
+_DIGEST_LINE = re.compile(rb"[0-9a-f]{64}\n")
 
 
 class RunConfigError(Exception):
@@ -93,9 +96,16 @@ def load_run_config(path: str | Path) -> RunConfig:
         q = Path(p)
         return str(q if q.is_absolute() else base / q)
 
+    def _object(value, what: str) -> dict:
+        if not isinstance(value, dict):
+            raise TypeError(f"{what} must be a JSON object, got {value!r}")
+        return value
+
     try:
+        raw = _object(raw, "the run config")
         corpora = []
-        for item in raw.get("corpora", []):
+        for i, item in enumerate(raw.get("corpora", [])):
+            item = _object(item, f"corpora[{i}]")
             if "manifest" in item:
                 manifest = load_manifest(_resolve(item["manifest"]))
                 name = item.get("name", manifest["name"])
@@ -104,14 +114,15 @@ def load_run_config(path: str | Path) -> RunConfig:
                 name = item["name"]
                 completeness = item.get("completeness", "complete")
             corpora.append(CorpusSource(name=name, path=_resolve(item["path"]), completeness=completeness))
-        gaz = raw.get("gazetteer", {})
+        gaz = _object(raw.get("gazetteer", {}), "gazetteer")
+        specs = [_object(item, f"geoparsers[{i}]") for i, item in enumerate(raw.get("geoparsers", []))]
         geoparsers = tuple(
             GeoparserSpec(
                 kind=item["kind"],
                 identifier=item["identifier"],
                 parameters=item.get("parameters", {}),
             )
-            for item in raw.get("geoparsers", [])
+            for item in specs
         )
         metrics = MetricsConfig(**raw.get("metrics", {}))
         cache_dir = raw.get("cache_dir")
@@ -154,6 +165,31 @@ def corpus_digest(corpus: Corpus) -> str:
     return h.hexdigest()
 
 
+def _remembered_digest(cache_dir, corpus: Corpus, file_sha256: str) -> str:
+    """The corpus_digest of a corpus loaded from a file whose bytes hash to `file_sha256`.
+
+    The digest renders every document again, so it is remembered in
+    <cache_dir>/corpora/<file_sha256> and computed only for file bytes not
+    seen before. An entry that holds no digest is logged and recomputed; a
+    failed write is logged. Neither changes a cache key or fails a run.
+    """
+    entry = Path(cache_dir) / "corpora" / file_sha256
+    try:
+        remembered = entry.read_bytes()
+    except OSError:
+        remembered = None  # not remembered yet; if it cannot be written either, that is logged below
+    if remembered is not None:
+        if _DIGEST_LINE.fullmatch(remembered):
+            return remembered[:-1].decode("ascii")
+        log.warning("corpus key %s corrupt; recomputing", entry.name)
+    digest = corpus_digest(corpus)
+    try:
+        _write_atomically(entry, [digest + "\n"])
+    except OSError as exc:
+        log.warning("corpus key %s not written (%s)", entry.name, exc)
+    return digest
+
+
 def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", name) or "_"
 
@@ -191,23 +227,31 @@ def cache_predictions(
 ) -> Path:
     """Store per-document predictions in adapter-response format, atomically (at `path` if given)."""
     path = path or _cache_path(cache_dir, spec, corpus, gazetteer)
+    lines = (
+        json.dumps(
+            {"id": doc.id, "toponyms": [_prediction_to_wire(p) for p in predictions[doc.id]]},
+            ensure_ascii=False,
+            sort_keys=True,
+        )
+        + "\n"
+        for doc in corpus.documents
+    )
+    _write_atomically(path, lines)
+    return path
+
+
+def _write_atomically(path: Path, lines) -> None:
+    """Write the lines to a temporary file beside `path`, then move it into place."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            for doc in corpus.documents:
-                line = json.dumps(
-                    {"id": doc.id, "toponyms": [_prediction_to_wire(p) for p in predictions[doc.id]]},
-                    ensure_ascii=False,
-                    sort_keys=True,
-                )
-                fh.write(line + "\n")
+            fh.writelines(lines)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    return path
 
 
 def load_cached(
@@ -221,9 +265,10 @@ def load_cached(
     """Reload cached predictions (from `path` if given), or None on a miss or a corrupt entry.
 
     The file holds one adapter response per document, in corpus order, and
-    is read through the adapters' decoder. A line count or id that does not
-    match the corpus, or any dropped prediction, makes the entry corrupt:
-    that is logged and the predictions are recomputed.
+    is read through the adapters' decoder, with the cyclic GC held off. A
+    line count or id that does not match the corpus, or any dropped
+    prediction, makes the entry corrupt: that is logged and the predictions
+    are recomputed.
     """
     path = path or _cache_path(cache_dir, spec, corpus, gazetteer)
     if not path.exists():
@@ -234,11 +279,12 @@ def load_cached(
             lines = list(fh)
         if len(lines) != len(corpus.documents):
             raise ValueError(f"{len(lines)} lines for {len(corpus.documents)} documents")
-        for doc, line in zip(corpus.documents, lines):
-            predictions, dropped = parse_response(doc, line)
-            if dropped:
-                raise ValueError(f"{dropped} invalid predictions for {doc.id!r}")
-            loaded[doc.id] = predictions
+        with gc_paused():
+            for doc, line in zip(corpus.documents, lines):
+                predictions, dropped = parse_response(doc, line)
+                if dropped:
+                    raise ValueError(f"{dropped} invalid predictions for {doc.id!r}")
+                loaded[doc.id] = predictions
     except (OSError, ValueError, AdapterProtocolError) as exc:
         log.warning("cache entry %s corrupt (%s); recomputing", path.name, exc)
         return None
@@ -492,13 +538,15 @@ def run_benchmark(
         gazetteer = load_gazetteer_for_run(config)
     boards: dict[str, Leaderboard] = {}
     for source in config.corpora:
-        corpus = load_corpus(source.path, source.completeness, source.name)
+        file_hash = hashlib.sha256() if cache_dir is not None else None
+        corpus = load_corpus(source.path, source.completeness, source.name, file_hash=file_hash)
         corpus_hash = None
         rows = []
         for spec in config.geoparsers:
             log.info("evaluating %s on %s", spec.identifier, source.name)
             if cache_dir is not None and corpus_hash is None:
-                corpus_hash = corpus_digest(corpus)  # once per corpus, as part of its first evaluation
+                # once per corpus, as part of its first evaluation
+                corpus_hash = _remembered_digest(cache_dir, corpus, file_hash.hexdigest())
             report = evaluate(
                 spec, corpus, gazetteer, config.metrics, cache_dir=cache_dir, workers=workers, corpus_hash=corpus_hash
             )

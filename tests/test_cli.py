@@ -128,6 +128,25 @@ class TestRunReportCompare:
         config.write_text("{]", encoding="utf-8")
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "raw, named",
+        [
+            ([], "the run config"),
+            ({"corpora": [], "gazetteer": "x"}, "gazetteer"),
+            ({"corpora": ["c.jsonl"], "gazetteer": {"path": "g.tsv"}}, "corpora[0]"),
+            (
+                {"corpora": [{"name": "c", "path": "c.jsonl"}], "gazetteer": {"path": "g.tsv"}, "geoparsers": [7]},
+                "geoparsers[0]",
+            ),
+        ],
+        ids=["top-level-list", "gazetteer-string", "corpus-not-object", "geoparser-not-object"],
+    )
+    def test_config_part_not_an_object_is_data_error(self, tmp_path, capsys, raw, named):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert f"{named} must be a JSON object" in capsys.readouterr().err
+
     def test_broken_adapter_is_adapter_error(self, tmp_path, capsys):
         corpus, _ = smoke_corpus_and_gazetteer(4, name="demo")
         corpus_path, _ = write_corpus_files(corpus, tmp_path)

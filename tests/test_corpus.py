@@ -120,6 +120,29 @@ class TestLoad:
         with pytest.raises(CorpusFormatError, match="cannot read"):
             load_corpus(tmp_path / "absent.jsonl")
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"id": "a", "text": "x"}\r\n\r\n{"text": "y", "id": "b"}\r{"id": "c", "text": "\xc3\xa9"}',
+            b'{"id": "a", "text": "x"}\n\n{"id": "b", "text": "y"}\r\n{oops\n',
+        ],
+        ids=["mixed-line-ends", "malformed-line-4"],
+    )
+    def test_hashing_the_bytes_changes_nothing_else(self, tmp_path, body):
+        import hashlib
+
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(body)
+        outcomes = []
+        for file_hash in (None, hashlib.sha256()):
+            try:
+                outcomes.append(load_corpus(path, file_hash=file_hash))
+            except CorpusFormatError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        if isinstance(outcomes[0], Corpus):
+            assert file_hash.hexdigest() == hashlib.sha256(body).hexdigest()
+
     def test_kind_and_gazetteer_id_round_trip(self, tmp_path):
         path = tmp_path / "c.jsonl"
         record = dict(

@@ -409,6 +409,17 @@ class TestCoercePredictions:
         predictions, dropped = coerce_predictions(self.TEXT, [{"start": 0, "end": 6, "entry_id": True}])
         assert dropped == 0 and predictions[0].entry_id is None
 
+    @pytest.mark.parametrize(
+        "lat, lon",
+        [(10**400, 0), (0, -(10**400)), (float("nan"), 0.0), (0.0, float("inf"))],
+        ids=["lat-beyond-float", "lon-beyond-float", "nan", "inf"],
+    )
+    def test_unusable_coordinate_dropped_and_counted(self, lat, lon):
+        items = [{"start": 0, "end": 6, "name": "Berlin", "lat": lat, "lon": lon}, {"start": 11, "end": 16}]
+        predictions, dropped = coerce_predictions(self.TEXT, items)
+        assert dropped == 1
+        assert [(p.start, p.end) for p in predictions] == [(11, 16)]
+
     def test_non_dict_items_dropped(self):
         predictions, dropped = coerce_predictions(self.TEXT, ["junk", 7])
         assert predictions == [] and dropped == 2

@@ -1,12 +1,16 @@
 import csv
+import gc
+import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from geobench import (
     AdapterError,
     Corpus,
+    CorpusFormatError,
     CorpusSource,
     Document,
     EvalReport,
@@ -21,6 +25,7 @@ from geobench import (
     degrade_case,
     evaluate,
     load_cached,
+    load_corpus,
     load_run_config,
     render_report,
     run_benchmark,
@@ -259,6 +264,43 @@ class TestCache:
         corpus, gazetteer = smoke_corpus_and_gazetteer(3)
         evaluate(BUILTIN, corpus, gazetteer, cache_dir=tmp_path)  # miss, then store
         assert len(calls) == 1
+
+    def test_gc_is_off_during_bulk_decodes_and_restored_after(self, tmp_path, monkeypatch):
+        from geobench import corpus as corpus_module
+
+        corpus, gazetteer = smoke_corpus_and_gazetteer(3)
+        corpus_path, _ = write_corpus_files(corpus, tmp_path)
+        evaluate(BUILTIN, corpus, gazetteer, cache_dir=tmp_path / "cache")
+        cache_file = next((tmp_path / "cache").glob("*.jsonl"))
+        seen = []
+
+        def probe(function):
+            return lambda *args: seen.append(gc.isenabled()) or function(*args)
+
+        monkeypatch.setattr(corpus_module, "_document_violations", probe(corpus_module._document_violations))
+        monkeypatch.setattr(harness_module, "parse_response", probe(harness_module.parse_response))
+        was_enabled = gc.isenabled()
+        try:
+            for valid in (True, False):
+                if not valid:  # the last line of each file fails to decode
+                    for path in (corpus_path, cache_file):
+                        lines = path.read_text(encoding="utf-8").splitlines()
+                        path.write_text("\n".join(lines[:-1] + ["{broken"]) + "\n", encoding="utf-8")
+                for caller_enabled in (True, False):
+                    (gc.enable if caller_enabled else gc.disable)()
+                    seen.clear()
+                    if valid:
+                        assert load_corpus(corpus_path) == corpus
+                    else:
+                        with pytest.raises(CorpusFormatError, match=":3:"):
+                            load_corpus(corpus_path)
+                    assert gc.isenabled() is caller_enabled
+                    loaded = load_cached(BUILTIN, corpus, tmp_path / "cache", gazetteer)
+                    assert (loaded is not None) is valid
+                    assert gc.isenabled() is caller_enabled
+                    assert seen and not any(seen)  # every decoded line was read with the GC off
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
 
     def test_cached_evaluate_equals_fresh(self, tmp_path):
         corpus, gazetteer = smoke_corpus_and_gazetteer(6)
@@ -524,6 +566,109 @@ class TestRunBenchmark:
                 evaluate(spec, corpus, gazetteer, cache_dir=config.cache_dir)
         assert len(calls) == 4
         assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == names
+
+    @staticmethod
+    def assert_same_run(first, second):
+        files = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(second) for p in second.rglob("*") if p.is_file())
+        for name in files:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    @staticmethod
+    def cache_files(config):
+        return sorted(p.name for p in Path(config.cache_dir).glob("*.jsonl"))
+
+    def refuse_parsing(self, monkeypatch):
+        monkeypatch.setattr(harness_module, "_parse_all", lambda *a, **k: pytest.fail("cache missed"))
+
+    def test_second_run_remembers_each_corpus_key(self, tmp_path, monkeypatch):
+        config = self.two_corpora_two_builtins(tmp_path)
+        run_benchmark(config, tmp_path / "cold")
+        calls = []
+        monkeypatch.setattr(harness_module, "corpus_digest", lambda corpus: calls.append(corpus.name))
+        self.refuse_parsing(monkeypatch)
+        run_benchmark(config, tmp_path / "warm")
+        assert calls == []
+        self.assert_same_run(tmp_path / "cold", tmp_path / "warm")
+
+    def test_deleted_corpus_keys_still_hit(self, tmp_path, monkeypatch):
+        import shutil
+
+        config = self.two_corpora_two_builtins(tmp_path)
+        run_benchmark(config, tmp_path / "cold")
+        names = self.cache_files(config)
+        shutil.rmtree(Path(config.cache_dir) / "corpora")
+        self.refuse_parsing(monkeypatch)
+        run_benchmark(config, tmp_path / "warm")
+        assert self.cache_files(config) == names
+        assert len(list((Path(config.cache_dir) / "corpora").iterdir())) == 2  # remembered again
+        self.assert_same_run(tmp_path / "cold", tmp_path / "warm")
+
+    def test_garbage_corpus_key_is_logged_and_recomputed(self, tmp_path, monkeypatch, caplog):
+        config = self.two_corpora_two_builtins(tmp_path)
+        run_benchmark(config, tmp_path / "cold")
+        entry = sorted((Path(config.cache_dir) / "corpora").iterdir())[0]
+        remembered = entry.read_bytes()
+        entry.write_bytes(b"garbage\n")
+        self.refuse_parsing(monkeypatch)
+        caplog.clear()
+        run_benchmark(config, tmp_path / "warm")
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == [f"corpus key {entry.name} corrupt; recomputing"]
+        assert entry.read_bytes() == remembered
+        self.assert_same_run(tmp_path / "cold", tmp_path / "warm")
+
+    def test_corpus_key_of_a_non_canonical_file(self, tmp_path):
+        from geobench.harness import corpus_digest
+
+        corpus_path = tmp_path / "odd.jsonl"
+        record = {
+            "toponyms": [
+                {"name": "Berlin", "lon": 13.4, "lat": 52, "end": 20, "start": 14},
+                {"end": 10, "start": 5, "name": "Paris"},
+            ],
+            "text": "From Paris to Berlin.",
+            "id": "d1",
+        }
+        corpus_path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        _, gazetteer = smoke_corpus_and_gazetteer(2)
+        from geobench import save_index
+
+        save_index(gazetteer, tmp_path / "gaz.index")
+        config = RunConfig(
+            corpora=(CorpusSource("odd", str(corpus_path)),),
+            gazetteer_path=str(tmp_path / "gaz.index"),
+            gazetteer_schema="index",
+            geoparsers=(BUILTIN,),
+            cache_dir=str(tmp_path / "cache"),
+        )
+        run_benchmark(config, tmp_path / "run")
+        entry = tmp_path / "cache" / "corpora" / hashlib.sha256(corpus_path.read_bytes()).hexdigest()
+        assert entry.read_text(encoding="ascii") == corpus_digest(harness_module.load_corpus(corpus_path)) + "\n"
+
+    def test_edited_corpus_file_gets_a_new_key(self, tmp_path):
+        config = self.two_corpora_two_builtins(tmp_path)
+        run_benchmark(config, tmp_path / "first")
+        corpora = Path(config.cache_dir) / "corpora"
+        before = {p.name for p in corpora.iterdir()}
+        path = Path(config.corpora[0].path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[1:]), encoding="utf-8")
+        names = self.cache_files(config)
+        run_benchmark(config, tmp_path / "second")
+        assert {p.name for p in corpora.iterdir()} - before == {hashlib.sha256(path.read_bytes()).hexdigest()}
+        assert len(set(self.cache_files(config)) - set(names)) == 2  # both geoparsers missed
+
+    def test_unwritable_corpus_key_is_logged_not_fatal(self, tmp_path, caplog):
+        config = self.two_corpora_two_builtins(tmp_path)
+        Path(config.cache_dir).mkdir()
+        (Path(config.cache_dir) / "corpora").write_text("")
+        run_benchmark(config, tmp_path / "first")
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 2 and all(" not written (" in w for w in warnings)
+        assert len(self.cache_files(config)) == 4
+        run_benchmark(config, tmp_path / "second")
+        self.assert_same_run(tmp_path / "first", tmp_path / "second")
 
     def test_builtin_parses_on_the_calling_thread(self, tmp_path, monkeypatch):
         import threading
