@@ -217,7 +217,10 @@ def _parse_toponym(raw: dict, doc_id: str) -> GoldToponym:
     if lat is not None:
         if not is_json_number(lat) or not is_json_number(lon):
             raise CorpusFormatError(f"document {doc_id!r}: non-numeric coordinates for {name!r}")
-        point = GeoPoint(float(lat), float(lon))
+        try:
+            point = GeoPoint(float(lat), float(lon))
+        except OverflowError:  # an integer beyond any float, so beyond any valid coordinate
+            raise CorpusFormatError(f"document {doc_id!r}: coordinate out of range for {name!r}") from None
     gaz_id = raw.get("gazetteer_id")
     kind = raw.get("kind")
     return GoldToponym(start, end, name, point=point, gazetteer_id=gaz_id, kind=kind)

@@ -10,6 +10,7 @@ bytes.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import logging
@@ -18,7 +19,9 @@ import re
 import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field, replace
+from functools import partial
 from io import StringIO
 from pathlib import Path
 
@@ -115,15 +118,13 @@ def load_run_config(path: str | Path) -> RunConfig:
                 completeness = item.get("completeness", "complete")
             corpora.append(CorpusSource(name=name, path=_resolve(item["path"]), completeness=completeness))
         gaz = _object(raw.get("gazetteer", {}), "gazetteer")
-        specs = [_object(item, f"geoparsers[{i}]") for i, item in enumerate(raw.get("geoparsers", []))]
-        geoparsers = tuple(
-            GeoparserSpec(
-                kind=item["kind"],
-                identifier=item["identifier"],
-                parameters=item.get("parameters", {}),
-            )
-            for item in specs
-        )
+        geoparsers = []
+        for i, item in enumerate(raw.get("geoparsers", [])):
+            item = _object(item, f"geoparsers[{i}]")
+            parameters = item.get("parameters", {})
+            if parameters is not None:  # null runs on the defaults, under a cache key of its own
+                _object(parameters, f"geoparsers[{i}] parameters")
+            geoparsers.append(GeoparserSpec(kind=item["kind"], identifier=item["identifier"], parameters=parameters))
         metrics = MetricsConfig(**raw.get("metrics", {}))
         cache_dir = raw.get("cache_dir")
         fold_diacritics = gaz.get("fold_diacritics", False)
@@ -137,7 +138,7 @@ def load_run_config(path: str | Path) -> RunConfig:
             gazetteer_path=_resolve(gaz["path"]),
             gazetteer_schema=gaz.get("schema", "geonames"),
             fold_diacritics=fold_diacritics,
-            geoparsers=geoparsers,
+            geoparsers=tuple(geoparsers),
             metrics=metrics,
             cache_dir=_resolve(cache_dir) if cache_dir else None,
             parallelism=parallelism,
@@ -512,6 +513,75 @@ def _dump_json(payload: dict, path: Path) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _evaluate_corpus(
+    config: RunConfig, gazetteer: Gazetteer | None, cache_dir: str | None, workers: int, source: CorpusSource
+) -> list[tuple[str, EvalReport]]:
+    """Load one corpus and evaluate every geoparser on it, in config order."""
+    file_hash = hashlib.sha256() if cache_dir is not None else None
+    corpus = load_corpus(source.path, source.completeness, source.name, file_hash=file_hash)
+    corpus_hash = None
+    rows = []
+    for spec in config.geoparsers:
+        log.info("evaluating %s on %s", spec.identifier, source.name)
+        if cache_dir is not None and corpus_hash is None:
+            # once per corpus, as part of its first evaluation
+            corpus_hash = _remembered_digest(cache_dir, corpus, file_hash.hexdigest())
+        report = evaluate(
+            spec, corpus, gazetteer, config.metrics, cache_dir=cache_dir, workers=workers, corpus_hash=corpus_hash
+        )
+        rows.append((spec.identifier, report))
+    return rows
+
+
+# set only in a forked worker process, by its pool's initializer: the corpus evaluation of the run that forked it
+_forked_evaluation = None
+
+
+def _adopt_evaluation(evaluation) -> None:
+    global _forked_evaluation
+    _forked_evaluation = evaluation
+
+
+def _run_forked_evaluation(source: CorpusSource) -> list[tuple[str, EvalReport]]:
+    return _forked_evaluation(source)
+
+
+def _evaluate_corpora(config: RunConfig, gazetteer: Gazetteer | None, cache_dir: str | None, workers: int):
+    """Yield the rows of each corpus in config order, evaluating up to `workers` corpora at once.
+
+    Several corpora run in worker processes forked after the gazetteer is
+    loaded: they inherit it, the config and the logging handlers, and send
+    back only their reports. Each worker gives its external geoparsers an
+    equal share of `workers` threads, so no more than `workers` documents
+    are in flight. The first failure in config order is raised as it would
+    be by one worker; the pool is shut down and joined on every path.
+    """
+    processes = min(workers, len(config.corpora))
+    # a fork while another thread holds a lock would leave the lock held in the worker
+    if processes <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        yield from map(partial(_evaluate_corpus, config, gazetteer, cache_dir, workers), config.corpora)
+        return
+    import multiprocessing  # here, so that inline runs do not pay for importing it
+    from concurrent.futures import ProcessPoolExecutor
+
+    # as gc_paused does after a bulk decode: frozen, the objects alive now are skipped by every later
+    # collection, so the workers' collections neither scan them nor copy the pages they share with this process
+    gc.freeze()
+    evaluation = partial(_evaluate_corpus, config, gazetteer, cache_dir, max(1, workers // processes))
+    pool = ProcessPoolExecutor(
+        processes,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt_evaluation,
+        initargs=(evaluation,),  # inherited through the fork, never pickled
+    )
+    try:
+        futures = [pool.submit(_run_forked_evaluation, source) for source in config.corpora]
+        for future in futures:
+            yield future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_benchmark(
     config: RunConfig,
     out_dir: str | Path,
@@ -537,24 +607,14 @@ def run_benchmark(
     if any(spec.kind == "builtin-baseline" for spec in config.geoparsers):
         gazetteer = load_gazetteer_for_run(config)
     boards: dict[str, Leaderboard] = {}
-    for source in config.corpora:
-        file_hash = hashlib.sha256() if cache_dir is not None else None
-        corpus = load_corpus(source.path, source.completeness, source.name, file_hash=file_hash)
-        corpus_hash = None
-        rows = []
-        for spec in config.geoparsers:
-            log.info("evaluating %s on %s", spec.identifier, source.name)
-            if cache_dir is not None and corpus_hash is None:
-                # once per corpus, as part of its first evaluation
-                corpus_hash = _remembered_digest(cache_dir, corpus, file_hash.hexdigest())
-            report = evaluate(
-                spec, corpus, gazetteer, config.metrics, cache_dir=cache_dir, workers=workers, corpus_hash=corpus_hash
-            )
-            _dump_json(report.to_dict(), out / "reports" / f"{_safe_name(source.name)}__{_safe_name(spec.identifier)}.json")
-            rows.append((spec.identifier, report))
-        board = compare(rows, source.completeness)
-        boards[source.name] = board
-        _dump_json(leaderboard_to_dict(board), out / "leaderboards" / f"{_safe_name(source.name)}.json")
+    with closing(_evaluate_corpora(config, gazetteer, cache_dir, workers)) as evaluated:
+        for source, rows in zip(config.corpora, evaluated):
+            for identifier, report in rows:
+                name = f"{_safe_name(source.name)}__{_safe_name(identifier)}.json"
+                _dump_json(report.to_dict(), out / "reports" / name)
+            board = compare(rows, source.completeness)
+            boards[source.name] = board
+            _dump_json(leaderboard_to_dict(board), out / "leaderboards" / f"{_safe_name(source.name)}.json")
     _dump_json(
         {
             "corpora": [{"name": c.name, "path": c.path, "completeness": c.completeness} for c in config.corpora],

@@ -147,6 +147,22 @@ class TestRunReportCompare:
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         assert f"{named} must be a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("parameters", ["abc", [1], 3], ids=["string", "list", "number"])
+    def test_geoparser_parameters_not_an_object_is_data_error(self, run_setup, tmp_path, capsys, parameters):
+        raw = json.loads(run_setup.read_text(encoding="utf-8"))
+        raw["geoparsers"].append({"kind": "external-process", "identifier": "odd", "parameters": parameters})
+        run_setup.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["run", "--config", str(run_setup), "--out", str(tmp_path / "o")]) == 2
+        assert f"geoparsers[1] parameters must be a JSON object, got {parameters!r}" in capsys.readouterr().err
+
+    def test_null_geoparser_parameters_still_run_under_their_own_key(self, run_setup, tmp_path):
+        raw = json.loads(run_setup.read_text(encoding="utf-8"))
+        raw["geoparsers"][0]["parameters"] = None
+        run_setup.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["run", "--config", str(run_setup), "--out", str(tmp_path / "o")]) == 0
+        # the key hashes [kind, null], as before null was checked
+        assert [p.name for p in (run_setup.parent / "cache").glob("*.jsonl")] == ["baseline__demo__ad3e465809957e71.jsonl"]
+
     def test_broken_adapter_is_adapter_error(self, tmp_path, capsys):
         corpus, _ = smoke_corpus_and_gazetteer(4, name="demo")
         corpus_path, _ = write_corpus_files(corpus, tmp_path)

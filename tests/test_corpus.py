@@ -63,6 +63,17 @@ class TestLoad:
         with pytest.raises(CorpusFormatError, match="coordinate out of range"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("coordinate", ["lat", "lon"])
+    def test_integer_coordinate_beyond_float_is_a_format_error(self, tmp_path, coordinate):
+        import re
+
+        path = tmp_path / "c.jsonl"
+        toponym = {"start": 0, "end": 6, "name": "Berlin", "lat": 52, "lon": 13}
+        toponym[coordinate] = 10**400  # a 401-digit JSON integer
+        write_lines(path, [dict(BERLIN_DOC, toponyms=[toponym])])
+        with pytest.raises(CorpusFormatError, match=re.escape(f"{path}:1: document 'd1': coordinate out of range")):
+            load_corpus(path)
+
     def test_malformed_json_reports_line_number(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text(json.dumps(BERLIN_DOC) + "\n{oops\n", encoding="utf-8")

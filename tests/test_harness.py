@@ -670,22 +670,35 @@ class TestRunBenchmark:
         run_benchmark(config, tmp_path / "second")
         self.assert_same_run(tmp_path / "first", tmp_path / "second")
 
-    def test_builtin_parses_on_the_calling_thread(self, tmp_path, monkeypatch):
+    @staticmethod
+    def log_parses(monkeypatch, parses):
+        """Log each builtin parse to a file, as (process id, on that process's main thread), across forks."""
+        import os
         import threading
 
         from geobench.geoparser import BuiltinGeoparser
 
-        config = self.two_corpora_two_builtins(tmp_path, cache=False)
-        threads = set()
         original = BuiltinGeoparser.parse_document
 
         def record(self, doc):
-            threads.add(threading.get_ident())
+            with open(parses, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps([os.getpid(), threading.get_ident() == threading.main_thread().ident]) + "\n")
             return original(self, doc)
 
         monkeypatch.setattr(BuiltinGeoparser, "parse_document", record)
+        return lambda: [json.loads(line) for line in parses.read_text(encoding="utf-8").splitlines()]
+
+    def test_builtin_parses_on_the_calling_thread(self, tmp_path, monkeypatch):
+        import os
+
+        config = self.two_corpora_two_builtins(tmp_path, cache=False)
+        # two corpora at four workers parse in two forked processes, so the parses are logged to a file
+        logged = self.log_parses(monkeypatch, tmp_path / "parses.jsonl")
         run_benchmark(config, tmp_path / "w4", workers=4)
-        assert threads == {threading.get_ident()}
+        parses = logged()
+        assert len(parses) == 2 * 2 * 8  # corpora x geoparsers x documents
+        assert all(on_main_thread for _, on_main_thread in parses)
+        assert len({pid for pid, _ in parses} - {os.getpid()}) == 2
         run_benchmark(config, tmp_path / "w1", workers=1)
         run_benchmark(config, tmp_path / "w2", workers=2)
         for sub in ("reports", "leaderboards"):
@@ -696,6 +709,132 @@ class TestRunBenchmark:
         echoed = [json.loads((tmp_path / run / "run_config.json").read_text()) for run in ("w1", "w2")]
         assert [e.pop("parallelism") for e in echoed] == [1, 2]
         assert echoed[0] == echoed[1]
+
+    @pytest.mark.parametrize("obstacle", ["no-fork", "another-thread"])
+    def test_corpora_run_inline_where_forking_is_unsafe(self, tmp_path, monkeypatch, obstacle):
+        import os
+        import threading
+
+        config = self.two_corpora_two_builtins(tmp_path, cache=False)
+        logged = self.log_parses(monkeypatch, tmp_path / "parses.jsonl")
+        release = threading.Event()
+        waiting = threading.Thread(target=release.wait, args=(60,))
+        if obstacle == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            waiting.start()
+        try:
+            run_benchmark(config, tmp_path / "w2", workers=2)
+        finally:
+            release.set()
+            if waiting.is_alive():
+                waiting.join(timeout=60)
+        assert {pid for pid, _ in logged()} == {os.getpid()}
+        run_benchmark(config, tmp_path / "w1", workers=1)
+        for sub in ("reports", "leaderboards"):
+            self.assert_same_run(tmp_path / "w1" / sub, tmp_path / "w2" / sub)
+
+    def test_cold_and_warm_runs_are_identical_at_any_worker_count(self, tmp_path, monkeypatch):
+        config = self.two_corpora_two_builtins(tmp_path)
+        for workers in (1, 2, 8):
+            run_benchmark(config, tmp_path / f"cold-w{workers}", workers=workers)
+            with monkeypatch.context() as patch:
+                self.refuse_parsing(patch)
+                run_benchmark(config, tmp_path / f"warm-w{workers}", workers=workers)
+            Path(config.cache_dir).rename(tmp_path / f"cache-w{workers}")
+        assert len(list((tmp_path / "cache-w1").glob("*.jsonl"))) == 4
+        assert len(list((tmp_path / "cache-w1" / "corpora").iterdir())) == 2
+        for workers in (1, 2, 8):
+            self.assert_same_run(tmp_path / "cache-w1", tmp_path / f"cache-w{workers}")
+            for run in (f"cold-w{workers}", f"warm-w{workers}"):
+                echo = tmp_path / run / "run_config.json"
+                text = echo.read_text(encoding="utf-8")
+                assert f'"parallelism": {workers}\n' in text  # the one line that names the worker count
+                echo.write_text(text.replace(f'"parallelism": {workers}\n', '"parallelism": 1\n'), encoding="utf-8")
+                self.assert_same_run(tmp_path / "cold-w1", tmp_path / run)
+
+    @staticmethod
+    def raised_at(config, out, workers):
+        import multiprocessing
+
+        with pytest.raises(Exception) as caught:
+            run_benchmark(config, out, workers=workers)
+        assert multiprocessing.active_children() == []
+        return type(caught.value), str(caught.value)
+
+    def test_corrupt_later_corpus_fails_as_at_one_worker(self, tmp_path):
+        config = self.two_corpora_two_builtins(tmp_path, cache=False)
+        with open(config.corpora[1].path, "a", encoding="utf-8") as fh:
+            fh.write("{not json\n")
+        first = self.raised_at(config, tmp_path / "w1", 1)
+        assert first[0] is CorpusFormatError and ":9: malformed JSON" in first[1]
+        assert self.raised_at(config, tmp_path / "w2", 2) == first
+        self.assert_same_run(tmp_path / "w1", tmp_path / "w2")  # the first corpus written, nothing more
+
+    def test_aborting_external_geoparser_fails_as_at_one_worker(self, tmp_path):
+        from dataclasses import replace
+
+        corpus, _ = smoke_corpus_and_gazetteer(20, name="demo")
+        paths = [write_corpus_files(c, tmp_path)[0] for c in (corpus, replace(corpus, name="again"))]
+        fail_ids = [d.id for d in corpus.documents[:3]]  # 15% of each corpus
+        config = RunConfig(
+            corpora=(CorpusSource("demo", str(paths[0])), CorpusSource("again", str(paths[1]))),
+            gazetteer_path=str(tmp_path / "unused.tsv"),
+            geoparsers=(GeoparserSpec("external-process", "flaky", {"command": flaky_child(tmp_path, fail_ids)}),),
+        )
+        first = self.raised_at(config, tmp_path / "w1", 1)
+        assert first[0] is AdapterError and "failed on 3/20 documents of corpus 'demo'" in first[1]
+        assert self.raised_at(config, tmp_path / "w2", 2) == first
+
+    def test_each_forked_corpus_starts_one_external_child(self, tmp_path):
+        import sys
+        from dataclasses import replace
+
+        corpus, _ = smoke_corpus_and_gazetteer(8, name="demo")
+        paths = [write_corpus_files(c, tmp_path)[0] for c in (corpus, replace(corpus, name="again"))]
+        pids = tmp_path / "pids"
+        child = tmp_path / "pid_child.py"
+        child.write_text(
+            "import json, os, sys\n"
+            "with open(sys.argv[1], 'a', encoding='utf-8') as fh:\n"
+            "    fh.write(f'{os.getpid()}\\n')\n"
+            "for line in sys.stdin:\n"
+            "    print(json.dumps({'id': json.loads(line)['id'], 'toponyms': []}), flush=True)\n",
+            encoding="utf-8",
+        )
+        config = RunConfig(
+            corpora=(CorpusSource("demo", str(paths[0])), CorpusSource("again", str(paths[1]))),
+            gazetteer_path=str(tmp_path / "unused.tsv"),
+            geoparsers=(GeoparserSpec("external-process", "pid", {"command": [sys.executable, str(child), str(pids)]}),),
+        )
+        run_benchmark(config, tmp_path / "w2", workers=2, use_cache=False)
+        # two documents in flight at two workers: one per corpus, so one child each
+        assert len(set(pids.read_text(encoding="utf-8").split())) == 2
+
+    def test_killed_worker_leaves_no_process_behind(self, tmp_path):
+        import multiprocessing
+        import os
+        import sys
+        from concurrent.futures.process import BrokenProcessPool
+
+        config = self.two_corpora_two_builtins(tmp_path, cache=False)
+        child = tmp_path / "killer.py"
+        # kills the process that started it, unless that is this test's own process; then answers empty
+        child.write_text(
+            "import json, os, signal, sys\n"
+            f"if os.getppid() != {os.getpid()}:\n"
+            "    os.kill(os.getppid(), signal.SIGKILL)\n"
+            "for line in sys.stdin:\n"
+            "    print(json.dumps({'id': json.loads(line)['id'], 'toponyms': []}), flush=True)\n",
+            encoding="utf-8",
+        )
+        from dataclasses import replace
+
+        killer = GeoparserSpec("external-process", "killer", {"command": [sys.executable, str(child)]})
+        config = replace(config, geoparsers=(killer,))
+        with pytest.raises(BrokenProcessPool):
+            run_benchmark(config, tmp_path / "w2", workers=2)
+        assert multiprocessing.active_children() == []
 
     def test_index_run_hits_cache_primed_by_tsv_run(self, tmp_path, monkeypatch):
         from geobench import ingest_gazetteer, save_index
