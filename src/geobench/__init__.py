@@ -50,6 +50,7 @@ from .harness import (
     Leaderboard,
     RunConfig,
     RunConfigError,
+    WorkerLostError,
     cache_predictions,
     compare,
     evaluate,

@@ -14,7 +14,6 @@ AdapterProtocolError with the raw payload attached for diagnostics.
 
 from __future__ import annotations
 
-import http.client
 import json
 import math
 import queue
@@ -166,10 +165,14 @@ class HttpGeoparser:
         if parts.scheme not in ("http", "https") or not parts.hostname or "@" in parts.netloc:
             raise ValueError(f"external-http endpoint needs an http(s) URL with a host and no user info: {endpoint!r}")
         self._target = parts.path + (f"?{parts.query}" if parts.query else "")
+        import http.client  # here, as in parse_document: importing it costs runs without an HTTP geoparser ~30 ms
+
         connection = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
         self._conn = connection(parts.hostname, parts.port, timeout=timeout)
 
     def parse_document(self, document: Document) -> tuple[list[PredictedToponym], int]:
+        import http.client
+
         body = _request_line(document).encode("utf-8")
         try:
             try:

@@ -19,7 +19,6 @@ import re
 import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass, field, replace
 from functools import partial
 from io import StringIO
@@ -47,6 +46,10 @@ _DIGEST_LINE = re.compile(rb"[0-9a-f]{64}\n")
 
 class RunConfigError(Exception):
     """A run configuration file is malformed or inconsistent."""
+
+
+class WorkerLostError(Exception):
+    """A forked corpus worker ended without sending back its reports (killed from outside, for instance)."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -533,53 +536,95 @@ def _evaluate_corpus(
     return rows
 
 
-# set only in a forked worker process, by its pool's initializer: the corpus evaluation of the run that forked it
-_forked_evaluation = None
+def _claim(claimed) -> int:
+    """Take the index of the next corpus that no process has started."""
+    with claimed.get_lock():
+        index = claimed.value
+        claimed.value += 1
+    return index
 
 
-def _adopt_evaluation(evaluation) -> None:
-    global _forked_evaluation
-    _forked_evaluation = evaluation
+def _drain(evaluation, sources, claimed, index: int) -> dict:
+    """Evaluate sources[index], then each corpus no process has claimed, until none is left or one fails.
+
+    Returns {index: rows, or the exception the evaluation raised}. On the way
+    out every other process is stopped from claiming more, so a failure stops
+    the run's evaluations as it would at one worker.
+    """
+    done = {}
+    try:
+        while index < len(sources):
+            try:
+                done[index] = evaluation(sources[index])
+            except Exception as exc:
+                done[index] = exc  # raised by the calling process, in config order
+                break
+            index = _claim(claimed)
+    finally:
+        with claimed.get_lock():
+            claimed.value = len(sources)
+    return done
 
 
-def _run_forked_evaluation(source: CorpusSource) -> list[tuple[str, EvalReport]]:
-    return _forked_evaluation(source)
+# set only in a forked worker process, by its pool's initializer: the corpus drain of the run that forked it
+_forked_drain = None
+
+
+def _adopt_drain(drain) -> None:
+    global _forked_drain
+    _forked_drain = drain
+
+
+def _run_forked_drain(index: int) -> dict:
+    return _forked_drain(index)
 
 
 def _evaluate_corpora(config: RunConfig, gazetteer: Gazetteer | None, cache_dir: str | None, workers: int):
     """Yield the rows of each corpus in config order, evaluating up to `workers` corpora at once.
 
-    Several corpora run in worker processes forked after the gazetteer is
-    loaded: they inherit it, the config and the logging handlers, and send
-    back only their reports. Each worker gives its external geoparsers an
-    equal share of `workers` threads, so no more than `workers` documents
-    are in flight. The first failure in config order is raised as it would
-    be by one worker; the pool is shut down and joined on every path.
+    With a builtin configured, several corpora run in this process and in
+    workers forked after the gazetteer is loaded: they inherit it, the config
+    and the logging handlers, and send back only their reports. This process
+    evaluates the first corpus itself, so set-up waits for no hand-off; the
+    k-th worker starts with the k-th corpus, and every process then takes
+    the next corpus that none has started. Each gives its external
+    geoparsers an equal share of `workers` threads, so no more than
+    `workers` documents are in flight. The first failure in config order is
+    raised as it would be by one worker, and the pool is joined before any
+    row is yielded.
     """
     processes = min(workers, len(config.corpora))
-    # a fork while another thread holds a lock would leave the lock held in the worker
-    if processes <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+    # external-only runs mostly wait on their geoparsers, which threads overlap without splitting the workers;
+    # and a fork while another thread holds a lock would leave the lock held in the worker
+    if processes <= 1 or gazetteer is None or not hasattr(os, "fork") or threading.active_count() > 1:
         yield from map(partial(_evaluate_corpus, config, gazetteer, cache_dir, workers), config.corpora)
         return
     import multiprocessing  # here, so that inline runs do not pay for importing it
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
+    context = multiprocessing.get_context("fork")
+    evaluation = partial(_evaluate_corpus, config, gazetteer, cache_dir, max(1, workers // processes))
+    # process k starts with corpus k, this process with corpus 0
+    drain = partial(_drain, evaluation, config.corpora, context.Value("i", processes))
     # as gc_paused does after a bulk decode: frozen, the objects alive now are skipped by every later
     # collection, so the workers' collections neither scan them nor copy the pages they share with this process
     gc.freeze()
-    evaluation = partial(_evaluate_corpus, config, gazetteer, cache_dir, max(1, workers // processes))
-    pool = ProcessPoolExecutor(
-        processes,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_adopt_evaluation,
-        initargs=(evaluation,),  # inherited through the fork, never pickled
-    )
-    try:
-        futures = [pool.submit(_run_forked_evaluation, source) for source in config.corpora]
-        for future in futures:
-            yield future.result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+    # the drain is inherited through the fork, never pickled
+    with ProcessPoolExecutor(processes - 1, mp_context=context, initializer=_adopt_drain, initargs=(drain,)) as pool:
+        forked = [pool.submit(_run_forked_drain, index) for index in range(1, processes)]
+        done = drain(0)
+        for future in forked:
+            try:
+                done.update(future.result())
+            except BrokenProcessPool:
+                pass  # its corpora are missing from done
+    for index, source in enumerate(config.corpora):
+        if index not in done:
+            raise WorkerLostError(f"a corpus worker process died; the reports of corpus {source.name!r} were lost")
+        if isinstance(done[index], Exception):
+            raise done[index]
+        yield done[index]
 
 
 def run_benchmark(
@@ -607,14 +652,13 @@ def run_benchmark(
     if any(spec.kind == "builtin-baseline" for spec in config.geoparsers):
         gazetteer = load_gazetteer_for_run(config)
     boards: dict[str, Leaderboard] = {}
-    with closing(_evaluate_corpora(config, gazetteer, cache_dir, workers)) as evaluated:
-        for source, rows in zip(config.corpora, evaluated):
-            for identifier, report in rows:
-                name = f"{_safe_name(source.name)}__{_safe_name(identifier)}.json"
-                _dump_json(report.to_dict(), out / "reports" / name)
-            board = compare(rows, source.completeness)
-            boards[source.name] = board
-            _dump_json(leaderboard_to_dict(board), out / "leaderboards" / f"{_safe_name(source.name)}.json")
+    for source, rows in zip(config.corpora, _evaluate_corpora(config, gazetteer, cache_dir, workers)):
+        for identifier, report in rows:
+            name = f"{_safe_name(source.name)}__{_safe_name(identifier)}.json"
+            _dump_json(report.to_dict(), out / "reports" / name)
+        board = compare(rows, source.completeness)
+        boards[source.name] = board
+        _dump_json(leaderboard_to_dict(board), out / "leaderboards" / f"{_safe_name(source.name)}.json")
     _dump_json(
         {
             "corpora": [{"name": c.name, "path": c.path, "completeness": c.completeness} for c in config.corpora],

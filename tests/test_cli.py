@@ -192,6 +192,17 @@ class TestRunReportCompare:
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 3
         assert "adapter error" in capsys.readouterr().err
 
+    def test_lost_worker_is_worker_error(self, run_setup, tmp_path, capsys, monkeypatch):
+        from geobench import WorkerLostError, cli
+
+        def lose(*args, **kwargs):
+            raise WorkerLostError("a corpus worker process died; the reports of corpus 'demo' were lost")
+
+        monkeypatch.setattr(cli, "run_benchmark", lose)
+        assert main(["run", "--config", str(run_setup), "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err == "geobench: worker error: a corpus worker process died; the reports of corpus 'demo' were lost\n"
+
     def test_zero_timeout_is_data_error(self, tmp_path, capsys):
         corpus, _ = smoke_corpus_and_gazetteer(2, name="demo")
         corpus_path, _ = write_corpus_files(corpus, tmp_path)

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import io
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from geobench import (
     MetricsConfig,
     RunConfig,
     RunConfigError,
+    WorkerLostError,
     align,
     cache_predictions,
     compare,
@@ -673,7 +675,6 @@ class TestRunBenchmark:
     @staticmethod
     def log_parses(monkeypatch, parses):
         """Log each builtin parse to a file, as (process id, on that process's main thread), across forks."""
-        import os
         import threading
 
         from geobench.geoparser import BuiltinGeoparser
@@ -689,16 +690,15 @@ class TestRunBenchmark:
         return lambda: [json.loads(line) for line in parses.read_text(encoding="utf-8").splitlines()]
 
     def test_builtin_parses_on_the_calling_thread(self, tmp_path, monkeypatch):
-        import os
-
         config = self.two_corpora_two_builtins(tmp_path, cache=False)
-        # two corpora at four workers parse in two forked processes, so the parses are logged to a file
+        # two corpora at four workers parse in this process and one forked worker, so the parses are logged to a file
         logged = self.log_parses(monkeypatch, tmp_path / "parses.jsonl")
         run_benchmark(config, tmp_path / "w4", workers=4)
         parses = logged()
         assert len(parses) == 2 * 2 * 8  # corpora x geoparsers x documents
         assert all(on_main_thread for _, on_main_thread in parses)
-        assert len({pid for pid, _ in parses} - {os.getpid()}) == 2
+        pids = {pid for pid, _ in parses}
+        assert os.getpid() in pids and len(pids) == 2
         run_benchmark(config, tmp_path / "w1", workers=1)
         run_benchmark(config, tmp_path / "w2", workers=2)
         for sub in ("reports", "leaderboards"):
@@ -712,7 +712,6 @@ class TestRunBenchmark:
 
     @pytest.mark.parametrize("obstacle", ["no-fork", "another-thread"])
     def test_corpora_run_inline_where_forking_is_unsafe(self, tmp_path, monkeypatch, obstacle):
-        import os
         import threading
 
         config = self.two_corpora_two_builtins(tmp_path, cache=False)
@@ -774,24 +773,43 @@ class TestRunBenchmark:
     def test_aborting_external_geoparser_fails_as_at_one_worker(self, tmp_path):
         from dataclasses import replace
 
-        corpus, _ = smoke_corpus_and_gazetteer(20, name="demo")
-        paths = [write_corpus_files(c, tmp_path)[0] for c in (corpus, replace(corpus, name="again"))]
-        fail_ids = [d.id for d in corpus.documents[:3]]  # 15% of each corpus
-        config = RunConfig(
-            corpora=(CorpusSource("demo", str(paths[0])), CorpusSource("again", str(paths[1]))),
-            gazetteer_path=str(tmp_path / "unused.tsv"),
-            geoparsers=(GeoparserSpec("external-process", "flaky", {"command": flaky_child(tmp_path, fail_ids)}),),
-        )
+        config = self.two_corpora_two_builtins(tmp_path, cache=False)
+        fail_ids = [d.id for d in load_corpus(config.corpora[0].path).documents[:3]]  # 3 of 8, in both corpora
+        flaky = GeoparserSpec("external-process", "flaky", {"command": flaky_child(tmp_path, fail_ids)})
+        config = replace(config, geoparsers=(BUILTIN, flaky))
         first = self.raised_at(config, tmp_path / "w1", 1)
-        assert first[0] is AdapterError and "failed on 3/20 documents of corpus 'demo'" in first[1]
+        assert first[0] is AdapterError and "failed on 3/8 documents of corpus 'demo'" in first[1]
         assert self.raised_at(config, tmp_path / "w2", 2) == first
+
+    def test_external_only_corpora_run_inline(self, tmp_path, monkeypatch):
+        from dataclasses import replace
+
+        empty = GeoparserSpec("external-process", "empty", {"command": flaky_child(tmp_path, [])})
+        config = replace(self.two_corpora_two_builtins(tmp_path, cache=False), geoparsers=(empty,))
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        run_benchmark(config, tmp_path / "w2", workers=2)
+        run_benchmark(config, tmp_path / "w1", workers=1)
+        for sub in ("reports", "leaderboards"):
+            self.assert_same_run(tmp_path / "w1" / sub, tmp_path / "w2" / sub)
+
+    def test_more_corpora_than_workers(self, tmp_path, monkeypatch):
+        from dataclasses import replace
+
+        config = self.two_corpora_two_builtins(tmp_path, cache=False)
+        demo, lower = config.corpora
+        again = (replace(demo, name="again"), replace(lower, name="lower-again"), replace(demo, name="last"))
+        config = replace(config, corpora=(demo, lower, *again))
+        logged = self.log_parses(monkeypatch, tmp_path / "parses.jsonl")
+        run_benchmark(config, tmp_path / "w2", workers=2)
+        assert len(logged()) == 5 * 2 * 8 and os.getpid() in {pid for pid, _ in logged()}
+        run_benchmark(config, tmp_path / "w1", workers=1)
+        for sub in ("reports", "leaderboards"):
+            self.assert_same_run(tmp_path / "w1" / sub, tmp_path / "w2" / sub)
 
     def test_each_forked_corpus_starts_one_external_child(self, tmp_path):
         import sys
         from dataclasses import replace
 
-        corpus, _ = smoke_corpus_and_gazetteer(8, name="demo")
-        paths = [write_corpus_files(c, tmp_path)[0] for c in (corpus, replace(corpus, name="again"))]
         pids = tmp_path / "pids"
         child = tmp_path / "pid_child.py"
         child.write_text(
@@ -802,39 +820,38 @@ class TestRunBenchmark:
             "    print(json.dumps({'id': json.loads(line)['id'], 'toponyms': []}), flush=True)\n",
             encoding="utf-8",
         )
-        config = RunConfig(
-            corpora=(CorpusSource("demo", str(paths[0])), CorpusSource("again", str(paths[1]))),
-            gazetteer_path=str(tmp_path / "unused.tsv"),
-            geoparsers=(GeoparserSpec("external-process", "pid", {"command": [sys.executable, str(child), str(pids)]}),),
-        )
-        run_benchmark(config, tmp_path / "w2", workers=2, use_cache=False)
+        pid_spec = GeoparserSpec("external-process", "pid", {"command": [sys.executable, str(child), str(pids)]})
+        # the builtin makes the corpora run in two processes
+        config = replace(self.two_corpora_two_builtins(tmp_path, cache=False), geoparsers=(BUILTIN, pid_spec))
+        run_benchmark(config, tmp_path / "w2", workers=2)
         # two documents in flight at two workers: one per corpus, so one child each
         assert len(set(pids.read_text(encoding="utf-8").split())) == 2
 
-    def test_killed_worker_leaves_no_process_behind(self, tmp_path):
+    def test_killed_worker_fails_the_run_and_leaves_no_process_behind(self, tmp_path):
         import multiprocessing
-        import os
         import sys
-        from concurrent.futures.process import BrokenProcessPool
-
-        config = self.two_corpora_two_builtins(tmp_path, cache=False)
-        child = tmp_path / "killer.py"
-        # kills the process that started it, unless that is this test's own process; then answers empty
-        child.write_text(
-            "import json, os, signal, sys\n"
-            f"if os.getppid() != {os.getpid()}:\n"
-            "    os.kill(os.getppid(), signal.SIGKILL)\n"
-            "for line in sys.stdin:\n"
-            "    print(json.dumps({'id': json.loads(line)['id'], 'toponyms': []}), flush=True)\n",
-            encoding="utf-8",
-        )
         from dataclasses import replace
 
+        child = tmp_path / "killer.py"
+        # kills the process that started it when asked to parse a lower-cased document, i.e. the second corpus,
+        # which a forked worker evaluates; answers the first corpus's documents, which this process evaluates
+        child.write_text(
+            "import json, os, signal, sys\n"
+            "for line in sys.stdin:\n"
+            "    request = json.loads(line)\n"
+            "    if request['text'] == request['text'].lower():\n"
+            "        os.kill(os.getppid(), signal.SIGKILL)\n"
+            "    print(json.dumps({'id': request['id'], 'toponyms': []}), flush=True)\n",
+            encoding="utf-8",
+        )
         killer = GeoparserSpec("external-process", "killer", {"command": [sys.executable, str(child)]})
-        config = replace(config, geoparsers=(killer,))
-        with pytest.raises(BrokenProcessPool):
+        config = replace(self.two_corpora_two_builtins(tmp_path, cache=False), geoparsers=(BUILTIN, killer))
+        lost = "^a corpus worker process died; the reports of corpus 'lower' were lost$"
+        with pytest.raises(WorkerLostError, match=lost):
             run_benchmark(config, tmp_path / "w2", workers=2)
         assert multiprocessing.active_children() == []
+        reports = sorted(p.name for p in (tmp_path / "w2" / "reports").iterdir())
+        assert reports == ["demo__baseline.json", "demo__killer.json"]
 
     def test_index_run_hits_cache_primed_by_tsv_run(self, tmp_path, monkeypatch):
         from geobench import ingest_gazetteer, save_index
