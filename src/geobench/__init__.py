@@ -50,7 +50,6 @@ from .harness import (
     Leaderboard,
     RunConfig,
     RunConfigError,
-    WorkerLostError,
     cache_predictions,
     compare,
     evaluate,

@@ -19,7 +19,6 @@ from .corpus import CorpusFormatError, corpus_stats, load_corpus, load_manifest
 from .gazetteer import GazetteerError, ingest_gazetteer, save_index
 from .harness import (
     RunConfigError,
-    WorkerLostError,
     load_leaderboards,
     load_run_config,
     render_report,
@@ -30,7 +29,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_ADAPTER = 3
-EXIT_WORKER = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -184,9 +182,6 @@ def main(argv=None) -> int:
     except AdapterError as exc:
         print(f"geobench: adapter error: {exc}", file=sys.stderr)
         return EXIT_ADAPTER
-    except WorkerLostError as exc:
-        print(f"geobench: worker error: {exc}", file=sys.stderr)
-        return EXIT_WORKER
 
 
 if __name__ == "__main__":

@@ -187,20 +187,6 @@ def gc_paused():
             gc.enable()
 
 
-class _HashedFile(io.FileIO):
-    """A binary file that feeds every byte it reads to `file_hash`, chunk by chunk."""
-
-    def __init__(self, path, file_hash):
-        super().__init__(path)
-        self.file_hash = file_hash
-
-    def readinto(self, buffer):
-        count = super().readinto(buffer)
-        if count:
-            self.file_hash.update(memoryview(buffer)[:count])
-        return count
-
-
 def _parse_toponym(raw: dict, doc_id: str) -> GoldToponym:
     try:
         start = raw["start"]
@@ -227,16 +213,16 @@ def _parse_toponym(raw: dict, doc_id: str) -> GoldToponym:
 
 
 def load_corpus(
-    path: str | Path, completeness: str = "complete", name: str | None = None, *, file_hash=None
+    path: str | Path, completeness: str = "complete", name: str | None = None, *, data: bytes | None = None
 ) -> Corpus:
     """Load a JSON-lines corpus file.
 
     `completeness` and `name` come from the corpus manifest (see
     load_manifest); they are never inferred from the data. Any malformed
     record or invariant violation aborts the load with a diagnostic citing
-    the line number and document id. A hashlib object given as `file_hash`
-    is fed the file's bytes as they are read, so that it hashes exactly the
-    bytes the corpus was parsed from.
+    the line number and document id. `data`, if given, is the file's bytes,
+    already read: they are parsed in place of the file, so that a caller
+    that hashed them knows the corpus came from exactly those bytes.
     """
     path = Path(path)
     if completeness not in COMPLETENESS_VALUES:
@@ -245,10 +231,8 @@ def load_corpus(
     documents = []
     seen_ids = set()
     try:
-        if file_hash is None:
-            fh = open(path, encoding="utf-8")
-        else:  # as open() builds it, with the raw file hashing what it reads
-            fh = io.TextIOWrapper(io.BufferedReader(_HashedFile(path, file_hash)), encoding="utf-8")
+        # the same decoding and line splitting either way
+        fh = open(path, encoding="utf-8") if data is None else io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
     except OSError as exc:
         raise CorpusFormatError(f"cannot read corpus file {path}: {exc}") from exc
     with fh, gc_paused():

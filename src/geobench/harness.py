@@ -1,4 +1,4 @@
-"""Evaluation runs: orchestration, prediction cache, leaderboards, rendering.
+"""Evaluation runs: orchestration, prediction and score caches, leaderboards, rendering.
 
 evaluate() runs one geoparser over one corpus and micro-averages the
 results into an EvalReport; run_benchmark() drives a whole RunConfig and
@@ -10,7 +10,6 @@ bytes.
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import json
 import logging
@@ -18,14 +17,22 @@ import os
 import re
 import tempfile
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 from io import StringIO
 from pathlib import Path
 
 from .adapters import AdapterError, AdapterProtocolError, parse_response
-from .corpus import Corpus, document_to_json_line, gc_paused, is_json_int, load_corpus, load_manifest
+from .corpus import (
+    Corpus,
+    CorpusFormatError,
+    document_to_json_line,
+    gc_paused,
+    is_json_int,
+    load_corpus,
+    load_manifest,
+)
 from .gazetteer import Gazetteer, ingest_gazetteer, load_index
 from .geoparser import GeoparserSpec, PredictedToponym, create_geoparser
 from .metrics import EvalReport, MetricsConfig, align, build_report, distance_errors, warn_missing_gold
@@ -37,7 +44,8 @@ METRIC_COLUMNS = ("precision", "recall", "f_score", "accuracy", "mean", "median"
 # it, failed documents score as zero predictions and are listed in warnings.
 FAILURE_ABORT_FRACTION = 0.10
 
-# run messages: progress at INFO, cache entries and corpus keys that were corrupt or not written at WARNING
+# run messages: progress at INFO, cache entries, score entries and corpus keys that were corrupt or not written
+# at WARNING
 log = logging.getLogger(__name__)
 
 # a remembered corpus key: one corpus_digest and a newline
@@ -46,10 +54,6 @@ _DIGEST_LINE = re.compile(rb"[0-9a-f]{64}\n")
 
 class RunConfigError(Exception):
     """A run configuration file is malformed or inconsistent."""
-
-
-class WorkerLostError(Exception):
-    """A forked corpus worker ended without sending back its reports (killed from outside, for instance)."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,6 +87,13 @@ class RunConfig:
         ids = [g.identifier for g in self.geoparsers]
         if len(set(ids)) != len(ids):
             raise RunConfigError("geoparser identifiers must be unique")
+        # distinct names can still share a file name: _safe_name replaces characters, and "__" joins the parts
+        shared = [n for n, k in Counter(_report_name(c, g) for c in names for g in ids).items() if k > 1]
+        if shared:
+            raise RunConfigError(
+                f"corpus names and geoparser identifiers must give distinct file names; several evaluations would "
+                f"write reports/{shared[0]}"
+            )
         if self.parallelism < 1:
             raise RunConfigError("parallelism must be >= 1")
 
@@ -158,7 +169,7 @@ def load_gazetteer_for_run(config: RunConfig) -> Gazetteer:
 
 
 # ---------------------------------------------------------------------------
-# Prediction cache
+# Prediction and score caches
 
 
 def corpus_digest(corpus: Corpus) -> str:
@@ -169,45 +180,77 @@ def corpus_digest(corpus: Corpus) -> str:
     return h.hexdigest()
 
 
-def _remembered_digest(cache_dir, corpus: Corpus, file_sha256: str) -> str:
-    """The corpus_digest of a corpus loaded from a file whose bytes hash to `file_sha256`.
+def _remembered_digest(entry: Path) -> str | None:
+    """The corpus_digest remembered in <cache_dir>/corpora/<sha256 of the corpus file's bytes>, or None.
 
-    The digest renders every document again, so it is remembered in
-    <cache_dir>/corpora/<file_sha256> and computed only for file bytes not
-    seen before. An entry that holds no digest is logged and recomputed; a
-    failed write is logged. Neither changes a cache key or fails a run.
+    The digest renders every document again, so it is remembered and
+    computed only for file bytes not seen before. An entry that holds no
+    digest is logged and counts as not remembered.
     """
-    entry = Path(cache_dir) / "corpora" / file_sha256
     try:
         remembered = entry.read_bytes()
     except OSError:
-        remembered = None  # not remembered yet; if it cannot be written either, that is logged below
-    if remembered is not None:
-        if _DIGEST_LINE.fullmatch(remembered):
-            return remembered[:-1].decode("ascii")
-        log.warning("corpus key %s corrupt; recomputing", entry.name)
-    digest = corpus_digest(corpus)
+        return None  # not remembered yet; if it cannot be written either, that is logged by _remember_digest
+    if _DIGEST_LINE.fullmatch(remembered):
+        return remembered[:-1].decode("ascii")
+    log.warning("corpus key %s corrupt; recomputing", entry.name)
+    return None
+
+
+def _remember_digest(entry: Path, digest: str) -> None:
     try:
         _write_atomically(entry, [digest + "\n"])
     except OSError as exc:
         log.warning("corpus key %s not written (%s)", entry.name, exc)
-    return digest
 
 
 def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", name) or "_"
 
 
+def _report_name(corpus_name: str, identifier: str) -> str:
+    return f"{_safe_name(corpus_name)}__{_safe_name(identifier)}.json"
+
+
 def _cache_path(
-    cache_dir, spec: GeoparserSpec, corpus: Corpus, gazetteer: Gazetteer | None, corpus_hash: str | None = None
+    cache_dir, spec: GeoparserSpec, corpus_name: str, corpus_hash: str, gazetteer: Gazetteer | None
 ) -> Path:
     # keyed on everything predictions depend on: the spec, the corpus and (builtin only) the gazetteer
     h = hashlib.sha256()
     h.update(json.dumps([spec.kind, spec.parameters], sort_keys=True).encode())
-    h.update((corpus_hash or corpus_digest(corpus)).encode())
+    h.update(corpus_hash.encode())
     if spec.kind == "builtin-baseline" and gazetteer is not None:
         h.update(gazetteer.digest().encode())
-    return Path(cache_dir) / f"{_safe_name(spec.identifier)}__{_safe_name(corpus.name)}__{h.hexdigest()[:16]}.jsonl"
+    return Path(cache_dir) / f"{_safe_name(spec.identifier)}__{_safe_name(corpus_name)}__{h.hexdigest()[:16]}.jsonl"
+
+
+def _score_path(prediction_path: Path, config: MetricsConfig, completeness: str) -> Path:
+    # a report depends on its predictions, the metrics config and (through precision) the corpus completeness
+    key = json.dumps([prediction_path.name, config.to_dict(), completeness], sort_keys=True)
+    return prediction_path.parent / "scores" / hashlib.sha256(key.encode()).hexdigest()
+
+
+def _load_score(path: Path, identifier: str, corpus_name: str) -> EvalReport | None:
+    """The report stored at `path`, or None on a miss or a corrupt entry (logged).
+
+    An entry is used only if it reads back as exactly the report it holds
+    and names this geoparser and corpus: a prediction-cache file name, and
+    so a score key, is shared by names that differ only in what _safe_name
+    replaces.
+    """
+    try:
+        raw = json.loads(path.read_bytes())
+        report = EvalReport.from_dict(raw)
+        if report.to_dict() != raw:
+            raise ValueError("not a report as geobench writes it")
+        if (report.geoparser, report.corpus) != (identifier, corpus_name):
+            raise ValueError(f"the report of {report.geoparser!r} on {report.corpus!r}")
+    except (FileNotFoundError, NotADirectoryError):
+        return None
+    except (OSError, AttributeError, TypeError, ValueError) as exc:
+        log.warning("score entry %s corrupt (%s); recomputing", path.name, exc)
+        return None
+    return report
 
 
 def _prediction_to_wire(p: PredictedToponym) -> dict:
@@ -230,7 +273,7 @@ def cache_predictions(
     path: Path | None = None,
 ) -> Path:
     """Store per-document predictions in adapter-response format, atomically (at `path` if given)."""
-    path = path or _cache_path(cache_dir, spec, corpus, gazetteer)
+    path = path or _cache_path(cache_dir, spec, corpus.name, corpus_digest(corpus), gazetteer)
     lines = (
         json.dumps(
             {"id": doc.id, "toponyms": [_prediction_to_wire(p) for p in predictions[doc.id]]},
@@ -274,7 +317,7 @@ def load_cached(
     prediction, makes the entry corrupt: that is logged and the predictions
     are recomputed.
     """
-    path = path or _cache_path(cache_dir, spec, corpus, gazetteer)
+    path = path or _cache_path(cache_dir, spec, corpus.name, corpus_digest(corpus), gazetteer)
     if not path.exists():
         return None
     loaded: dict[str, list[PredictedToponym]] = {}
@@ -356,14 +399,18 @@ def evaluate(
     and are listed in the report warnings; if more than 10% fail the run
     aborts with an AdapterError. `corpus_hash` is the corpus's
     `corpus_digest`, for callers that evaluate one corpus several times.
+    With a `cache_dir`, the report is also stored as a score entry whenever
+    its predictions are in the prediction cache: read from it, or stored in
+    it after a warning-free parse.
     """
     config = config or MetricsConfig()
     warnings: list[str] = []
 
     predictions = cache_path = None
     if cache_dir is not None:
-        cache_path = _cache_path(cache_dir, spec, corpus, gazetteer, corpus_hash)
+        cache_path = _cache_path(cache_dir, spec, corpus.name, corpus_hash or corpus_digest(corpus), gazetteer)
         predictions = load_cached(spec, corpus, cache_dir, gazetteer, path=cache_path)
+    cached = predictions is not None
     if predictions is None:
         results = _parse_all(spec, corpus, gazetteer, workers)
         failed = sorted(doc_id for doc_id, (_, _, err) in results.items() if err is not None)
@@ -383,6 +430,7 @@ def evaluate(
         if cache_dir is not None and not warnings:  # so that a hit reproduces this report
             try:
                 cache_predictions(spec, corpus, predictions, cache_dir, gazetteer, path=cache_path)
+                cached = True
             except OSError as exc:
                 log.warning("cache entry %s not written (%s)", cache_path.name, exc)
 
@@ -400,7 +448,7 @@ def evaluate(
         pooled_distances.extend(errors.distances)
     warn_missing_gold(missing_gold_total, warnings)
 
-    return build_report(
+    report = build_report(
         gold_count=gold_total,
         pred_count=pred_total,
         matched=matched_total,
@@ -412,6 +460,13 @@ def evaluate(
         geoparser=spec.identifier,
         corpus=corpus.name,
     )
+    if cached:  # not beside a parse that failed or dropped predictions, so never a report that one timeout made
+        score_path = _score_path(cache_path, config, corpus.completeness)
+        try:
+            _write_atomically(score_path, [json.dumps(report.to_dict(), sort_keys=True) + "\n"])
+        except OSError as exc:
+            log.warning("score entry %s not written (%s)", score_path.name, exc)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -519,112 +574,44 @@ def _dump_json(payload: dict, path: Path) -> None:
 def _evaluate_corpus(
     config: RunConfig, gazetteer: Gazetteer | None, cache_dir: str | None, workers: int, source: CorpusSource
 ) -> list[tuple[str, EvalReport]]:
-    """Load one corpus and evaluate every geoparser on it, in config order."""
-    file_hash = hashlib.sha256() if cache_dir is not None else None
-    corpus = load_corpus(source.path, source.completeness, source.name, file_hash=file_hash)
-    corpus_hash = None
+    """Evaluate every geoparser on one corpus, in config order.
+
+    With a cache, the corpus file is read once and its bytes hashed. If their
+    corpus key is remembered, each geoparser whose score entry is usable gets
+    its report from that entry, and the corpus is parsed from the same bytes
+    only when some geoparser misses.
+    """
+    corpus = corpus_hash = None
+    reports = [None] * len(config.geoparsers)
+    if cache_dir is None:
+        corpus = load_corpus(source.path, source.completeness, source.name)
+    else:
+        try:
+            data = Path(source.path).read_bytes()
+        except OSError as exc:
+            raise CorpusFormatError(f"cannot read corpus file {source.path}: {exc}") from exc
+        key = Path(cache_dir) / "corpora" / hashlib.sha256(data).hexdigest()
+        corpus_hash = _remembered_digest(key)
+        if corpus_hash is not None:
+            for i, spec in enumerate(config.geoparsers):
+                predictions = _cache_path(cache_dir, spec, source.name, corpus_hash, gazetteer)
+                score = _score_path(predictions, config.metrics, source.completeness)
+                reports[i] = _load_score(score, spec.identifier, source.name)
+        if None in reports:
+            corpus = load_corpus(source.path, source.completeness, source.name, data=data)
+        del data  # so that the file's bytes do not add to the evaluations' peak memory
     rows = []
-    for spec in config.geoparsers:
-        log.info("evaluating %s on %s", spec.identifier, source.name)
-        if cache_dir is not None and corpus_hash is None:
-            # once per corpus, as part of its first evaluation
-            corpus_hash = _remembered_digest(cache_dir, corpus, file_hash.hexdigest())
-        report = evaluate(
-            spec, corpus, gazetteer, config.metrics, cache_dir=cache_dir, workers=workers, corpus_hash=corpus_hash
-        )
+    for spec, report in zip(config.geoparsers, reports):
+        log.info("evaluating %s on %s", spec.identifier, source.name)  # after the corpus load, if there is one
+        if report is None:
+            if cache_dir is not None and corpus_hash is None:  # once per corpus, as part of its first evaluation
+                corpus_hash = corpus_digest(corpus)
+                _remember_digest(key, corpus_hash)
+            report = evaluate(
+                spec, corpus, gazetteer, config.metrics, cache_dir=cache_dir, workers=workers, corpus_hash=corpus_hash
+            )
         rows.append((spec.identifier, report))
     return rows
-
-
-def _claim(claimed) -> int:
-    """Take the index of the next corpus that no process has started."""
-    with claimed.get_lock():
-        index = claimed.value
-        claimed.value += 1
-    return index
-
-
-def _drain(evaluation, sources, claimed, index: int) -> dict:
-    """Evaluate sources[index], then each corpus no process has claimed, until none is left or one fails.
-
-    Returns {index: rows, or the exception the evaluation raised}. On the way
-    out every other process is stopped from claiming more, so a failure stops
-    the run's evaluations as it would at one worker.
-    """
-    done = {}
-    try:
-        while index < len(sources):
-            try:
-                done[index] = evaluation(sources[index])
-            except Exception as exc:
-                done[index] = exc  # raised by the calling process, in config order
-                break
-            index = _claim(claimed)
-    finally:
-        with claimed.get_lock():
-            claimed.value = len(sources)
-    return done
-
-
-# set only in a forked worker process, by its pool's initializer: the corpus drain of the run that forked it
-_forked_drain = None
-
-
-def _adopt_drain(drain) -> None:
-    global _forked_drain
-    _forked_drain = drain
-
-
-def _run_forked_drain(index: int) -> dict:
-    return _forked_drain(index)
-
-
-def _evaluate_corpora(config: RunConfig, gazetteer: Gazetteer | None, cache_dir: str | None, workers: int):
-    """Yield the rows of each corpus in config order, evaluating up to `workers` corpora at once.
-
-    With a builtin configured, several corpora run in this process and in
-    workers forked after the gazetteer is loaded: they inherit it, the config
-    and the logging handlers, and send back only their reports. This process
-    evaluates the first corpus itself, so set-up waits for no hand-off; the
-    k-th worker starts with the k-th corpus, and every process then takes
-    the next corpus that none has started. Each gives its external
-    geoparsers an equal share of `workers` threads, so no more than
-    `workers` documents are in flight. The first failure in config order is
-    raised as it would be by one worker, and the pool is joined before any
-    row is yielded.
-    """
-    processes = min(workers, len(config.corpora))
-    # external-only runs mostly wait on their geoparsers, which threads overlap without splitting the workers;
-    # and a fork while another thread holds a lock would leave the lock held in the worker
-    if processes <= 1 or gazetteer is None or not hasattr(os, "fork") or threading.active_count() > 1:
-        yield from map(partial(_evaluate_corpus, config, gazetteer, cache_dir, workers), config.corpora)
-        return
-    import multiprocessing  # here, so that inline runs do not pay for importing it
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    context = multiprocessing.get_context("fork")
-    evaluation = partial(_evaluate_corpus, config, gazetteer, cache_dir, max(1, workers // processes))
-    # process k starts with corpus k, this process with corpus 0
-    drain = partial(_drain, evaluation, config.corpora, context.Value("i", processes))
-    # as gc_paused does after a bulk decode: frozen, the objects alive now are skipped by every later
-    # collection, so the workers' collections neither scan them nor copy the pages they share with this process
-    gc.freeze()
-    # the drain is inherited through the fork, never pickled
-    with ProcessPoolExecutor(processes - 1, mp_context=context, initializer=_adopt_drain, initargs=(drain,)) as pool:
-        forked = [pool.submit(_run_forked_drain, index) for index in range(1, processes)]
-        done = drain(0)
-        for future in forked:
-            try:
-                done.update(future.result())
-            except BrokenProcessPool:
-                pass  # its corpora are missing from done
-    for index, source in enumerate(config.corpora):
-        if index not in done:
-            raise WorkerLostError(f"a corpus worker process died; the reports of corpus {source.name!r} were lost")
-        if isinstance(done[index], Exception):
-            raise done[index]
-        yield done[index]
 
 
 def run_benchmark(
@@ -638,7 +625,9 @@ def run_benchmark(
 
     Produces reports/<corpus>__<geoparser>.json, one leaderboard per
     corpus under leaderboards/, and an echo of the effective run config.
-    Output bytes are independent of the worker count.
+    Corpora are evaluated one after another in this process; `workers` is
+    the number of threads that parse for an external geoparser. Output bytes
+    are independent of the worker count.
     """
     workers = config.parallelism if workers is None else workers
     config = replace(config, parallelism=workers)  # RunConfig rejects a count below 1
@@ -652,10 +641,10 @@ def run_benchmark(
     if any(spec.kind == "builtin-baseline" for spec in config.geoparsers):
         gazetteer = load_gazetteer_for_run(config)
     boards: dict[str, Leaderboard] = {}
-    for source, rows in zip(config.corpora, _evaluate_corpora(config, gazetteer, cache_dir, workers)):
+    for source in config.corpora:
+        rows = _evaluate_corpus(config, gazetteer, cache_dir, workers, source)
         for identifier, report in rows:
-            name = f"{_safe_name(source.name)}__{_safe_name(identifier)}.json"
-            _dump_json(report.to_dict(), out / "reports" / name)
+            _dump_json(report.to_dict(), out / "reports" / _report_name(source.name, identifier))
         board = compare(rows, source.completeness)
         boards[source.name] = board
         _dump_json(leaderboard_to_dict(board), out / "leaderboards" / f"{_safe_name(source.name)}.json")

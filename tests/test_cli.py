@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -192,16 +193,15 @@ class TestRunReportCompare:
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 3
         assert "adapter error" in capsys.readouterr().err
 
-    def test_lost_worker_is_worker_error(self, run_setup, tmp_path, capsys, monkeypatch):
-        from geobench import WorkerLostError, cli
-
-        def lose(*args, **kwargs):
-            raise WorkerLostError("a corpus worker process died; the reports of corpus 'demo' were lost")
-
-        monkeypatch.setattr(cli, "run_benchmark", lose)
-        assert main(["run", "--config", str(run_setup), "--out", str(tmp_path / "o")]) == 4
-        err = capsys.readouterr().err
-        assert err == "geobench: worker error: a corpus worker process died; the reports of corpus 'demo' were lost\n"
+    def test_corpus_names_that_share_a_file_name_are_data_error(self, run_setup, tmp_path, capsys):
+        raw = json.loads(run_setup.read_text(encoding="utf-8"))
+        corpus = raw["corpora"][0]["path"]
+        raw["corpora"] = [{"name": "news web", "path": corpus}, {"name": "news_web", "path": corpus}]
+        run_setup.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(run_setup), "--out", str(out)]) == 2
+        assert "several evaluations would write reports/news_web__baseline.json" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_timeout_is_data_error(self, tmp_path, capsys):
         corpus, _ = smoke_corpus_and_gazetteer(2, name="demo")
@@ -246,6 +246,7 @@ class TestRunReportCompare:
         assert run(tmp_path / "r1") == [*evaluating, f"run written to {tmp_path / 'r1'}"]
         cache_file = next((run_setup.parent / "cache").glob("baseline__demo__*.jsonl"))
         cache_file.write_text("{broken\n", encoding="utf-8")
+        shutil.rmtree(run_setup.parent / "cache" / "scores")  # else no report reads the broken file
         lines = run(tmp_path / "r2")
         assert [lines[0], *lines[2:]] == [*evaluating, f"run written to {tmp_path / 'r2'}"]
         assert lines[1].startswith(f"cache entry {cache_file.name} corrupt (")

@@ -140,19 +140,16 @@ class TestLoad:
         ids=["mixed-line-ends", "malformed-line-4"],
     )
     def test_hashing_the_bytes_changes_nothing_else(self, tmp_path, body):
-        import hashlib
-
+        # a caller that reads the bytes to hash them parses those bytes: the corpus or the error is the file's
         path = tmp_path / "c.jsonl"
         path.write_bytes(body)
         outcomes = []
-        for file_hash in (None, hashlib.sha256()):
+        for data in (None, body):
             try:
-                outcomes.append(load_corpus(path, file_hash=file_hash))
+                outcomes.append(load_corpus(path, data=data))
             except CorpusFormatError as exc:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
-        if isinstance(outcomes[0], Corpus):
-            assert file_hash.hexdigest() == hashlib.sha256(body).hexdigest()
 
     def test_kind_and_gazetteer_id_round_trip(self, tmp_path):
         path = tmp_path / "c.jsonl"

@@ -20,7 +20,6 @@ from geobench import (
     MetricsConfig,
     RunConfig,
     RunConfigError,
-    WorkerLostError,
     align,
     cache_predictions,
     compare,
@@ -423,6 +422,21 @@ class TestRunConfig:
         with pytest.raises(RunConfigError, match="unique"):
             RunConfig(corpora=sources, gazetteer_path="x", geoparsers=(BUILTIN,))
 
+    @pytest.mark.parametrize(
+        "corpora, identifiers, shared",
+        [
+            (("news web", "news_web"), ("baseline",), "news_web__baseline.json"),
+            (("news",), ("a b", "a_b"), "news__a_b.json"),
+            (("a__b", "a"), ("c", "b__c"), "a__b__c.json"),
+        ],
+        ids=["corpora", "geoparsers", "joined"],
+    )
+    def test_names_that_share_a_file_name(self, corpora, identifiers, shared):
+        sources = tuple(CorpusSource(name, f"{i}.jsonl") for i, name in enumerate(corpora))
+        specs = tuple(GeoparserSpec("builtin-baseline", identifier) for identifier in identifiers)
+        with pytest.raises(RunConfigError, match=f"several evaluations would write reports/{shared}$"):
+            RunConfig(corpora=sources, gazetteer_path="x", geoparsers=specs)
+
     def test_load_from_json_with_manifest(self, tmp_path):
         corpus, gazetteer = smoke_corpus_and_gazetteer(3, name="demo")
         corpus_path, manifest_path = write_corpus_files(corpus, tmp_path)
@@ -583,6 +597,10 @@ class TestRunBenchmark:
     def refuse_parsing(self, monkeypatch):
         monkeypatch.setattr(harness_module, "_parse_all", lambda *a, **k: pytest.fail("cache missed"))
 
+    @staticmethod
+    def warnings(caplog):
+        return [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+
     def test_second_run_remembers_each_corpus_key(self, tmp_path, monkeypatch):
         config = self.two_corpora_two_builtins(tmp_path)
         run_benchmark(config, tmp_path / "cold")
@@ -673,32 +691,28 @@ class TestRunBenchmark:
         self.assert_same_run(tmp_path / "first", tmp_path / "second")
 
     @staticmethod
-    def log_parses(monkeypatch, parses):
-        """Log each builtin parse to a file, as (process id, on that process's main thread), across forks."""
+    def log_parses(monkeypatch):
+        """Log each builtin parse as (process id, on the main thread)."""
         import threading
 
         from geobench.geoparser import BuiltinGeoparser
 
         original = BuiltinGeoparser.parse_document
+        parses = []
 
         def record(self, doc):
-            with open(parses, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps([os.getpid(), threading.get_ident() == threading.main_thread().ident]) + "\n")
+            parses.append((os.getpid(), threading.get_ident() == threading.main_thread().ident))
             return original(self, doc)
 
         monkeypatch.setattr(BuiltinGeoparser, "parse_document", record)
-        return lambda: [json.loads(line) for line in parses.read_text(encoding="utf-8").splitlines()]
+        return parses
 
     def test_builtin_parses_on_the_calling_thread(self, tmp_path, monkeypatch):
         config = self.two_corpora_two_builtins(tmp_path, cache=False)
-        # two corpora at four workers parse in this process and one forked worker, so the parses are logged to a file
-        logged = self.log_parses(monkeypatch, tmp_path / "parses.jsonl")
+        parses = self.log_parses(monkeypatch)
         run_benchmark(config, tmp_path / "w4", workers=4)
-        parses = logged()
         assert len(parses) == 2 * 2 * 8  # corpora x geoparsers x documents
-        assert all(on_main_thread for _, on_main_thread in parses)
-        pids = {pid for pid, _ in parses}
-        assert os.getpid() in pids and len(pids) == 2
+        assert set(parses) == {(os.getpid(), True)}  # one process, one thread
         run_benchmark(config, tmp_path / "w1", workers=1)
         run_benchmark(config, tmp_path / "w2", workers=2)
         for sub in ("reports", "leaderboards"):
@@ -710,39 +724,20 @@ class TestRunBenchmark:
         assert [e.pop("parallelism") for e in echoed] == [1, 2]
         assert echoed[0] == echoed[1]
 
-    @pytest.mark.parametrize("obstacle", ["no-fork", "another-thread"])
-    def test_corpora_run_inline_where_forking_is_unsafe(self, tmp_path, monkeypatch, obstacle):
-        import threading
-
-        config = self.two_corpora_two_builtins(tmp_path, cache=False)
-        logged = self.log_parses(monkeypatch, tmp_path / "parses.jsonl")
-        release = threading.Event()
-        waiting = threading.Thread(target=release.wait, args=(60,))
-        if obstacle == "no-fork":
-            monkeypatch.delattr(os, "fork")
-        else:
-            waiting.start()
-        try:
-            run_benchmark(config, tmp_path / "w2", workers=2)
-        finally:
-            release.set()
-            if waiting.is_alive():
-                waiting.join(timeout=60)
-        assert {pid for pid, _ in logged()} == {os.getpid()}
-        run_benchmark(config, tmp_path / "w1", workers=1)
-        for sub in ("reports", "leaderboards"):
-            self.assert_same_run(tmp_path / "w1" / sub, tmp_path / "w2" / sub)
-
     def test_cold_and_warm_runs_are_identical_at_any_worker_count(self, tmp_path, monkeypatch):
         config = self.two_corpora_two_builtins(tmp_path)
         for workers in (1, 2, 8):
             run_benchmark(config, tmp_path / f"cold-w{workers}", workers=workers)
-            with monkeypatch.context() as patch:
+            with monkeypatch.context() as patch:  # every warm report comes from its score entry
                 self.refuse_parsing(patch)
+                patch.setattr(harness_module, "load_corpus", lambda *a, **k: pytest.fail("corpus loaded"))
                 run_benchmark(config, tmp_path / f"warm-w{workers}", workers=workers)
             Path(config.cache_dir).rename(tmp_path / f"cache-w{workers}")
         assert len(list((tmp_path / "cache-w1").glob("*.jsonl"))) == 4
         assert len(list((tmp_path / "cache-w1" / "corpora").iterdir())) == 2
+        assert len(list((tmp_path / "cache-w1" / "scores").iterdir())) == 4
+        # a report with metric warnings is stored too: the builtin finds nothing in the lower-cased corpus
+        assert json.loads((tmp_path / "warm-w1" / "reports" / "lower__baseline.json").read_text())["warnings"]
         for workers in (1, 2, 8):
             self.assert_same_run(tmp_path / "cache-w1", tmp_path / f"cache-w{workers}")
             for run in (f"cold-w{workers}", f"warm-w{workers}"):
@@ -752,13 +747,107 @@ class TestRunBenchmark:
                 echo.write_text(text.replace(f'"parallelism": {workers}\n', '"parallelism": 1\n'), encoding="utf-8")
                 self.assert_same_run(tmp_path / "cold-w1", tmp_path / run)
 
+    @pytest.mark.parametrize("damage", ["none", "scores-deleted", "truncated", "no-counts", "other-corpus"])
+    def test_damaged_score_entries_fall_back_to_the_predictions(self, tmp_path, monkeypatch, caplog, damage):
+        import shutil
+
+        config = self.two_corpora_two_builtins(tmp_path)
+        run_benchmark(config, tmp_path / "cold")
+        scores = Path(config.cache_dir) / "scores"
+        stored = {p.name: p.read_bytes() for p in scores.iterdir()}
+        entry = scores / sorted(stored)[0]
+        if damage == "scores-deleted":
+            shutil.rmtree(scores)
+        elif damage == "truncated":
+            entry.write_bytes(stored[entry.name][: len(stored[entry.name]) // 2])
+        elif damage == "no-counts":  # reads as a report, with every count 0
+            raw = json.loads(stored[entry.name])
+            entry.write_text(json.dumps({k: v for k, v in raw.items() if k != "counts"}), encoding="utf-8")
+        elif damage == "other-corpus":
+            entry.write_text(json.dumps({**json.loads(stored[entry.name]), "corpus": "other"}), encoding="utf-8")
+        self.refuse_parsing(monkeypatch)
+        caplog.clear()
+        run_benchmark(config, tmp_path / "warm")
+        self.assert_same_run(tmp_path / "cold", tmp_path / "warm")
+        warnings = self.warnings(caplog)
+        if damage not in ("none", "scores-deleted"):
+            assert len(warnings) == 1
+            assert warnings[0].startswith(f"score entry {entry.name} corrupt (")
+            assert warnings[0].endswith("); recomputing")
+        else:
+            assert warnings == []  # a missing entry is a silent miss
+        assert {p.name: p.read_bytes() for p in scores.iterdir()} == stored  # stored again
+
+    def test_score_entry_of_another_corpus_name_with_the_same_file_name(self, tmp_path, monkeypatch, caplog):
+        from dataclasses import replace
+
+        config = self.two_corpora_two_builtins(tmp_path)
+        demo, lower = config.corpora
+        first = replace(config, corpora=(replace(demo, name="demo x"), lower))
+        second = replace(config, corpora=(replace(demo, name="demo_x"), lower))
+        run_benchmark(first, tmp_path / "first")
+        run_benchmark(second, tmp_path / "fresh", use_cache=False)
+        self.refuse_parsing(monkeypatch)  # "demo x" and "demo_x" share each prediction-cache file
+        caplog.clear()
+        run_benchmark(second, tmp_path / "second")
+        self.assert_same_run(tmp_path / "fresh", tmp_path / "second")
+        assert json.loads((tmp_path / "second" / "reports" / "demo_x__baseline.json").read_text())["corpus"] == "demo_x"
+        assert [w.split(" (")[1] for w in self.warnings(caplog)] == [
+            "the report of 'baseline' on 'demo x'); recomputing",
+            "the report of 'no-caps' on 'demo x'); recomputing",
+        ]
+
+    @pytest.mark.parametrize("change", ["metrics", "completeness"])
+    def test_changed_metrics_or_completeness_misses_the_score_but_hits_the_predictions(
+        self, tmp_path, monkeypatch, change
+    ):
+        from dataclasses import replace
+
+        config = self.two_corpora_two_builtins(tmp_path)
+        run_benchmark(config, tmp_path / "first")
+        predictions = self.cache_files(config)
+        scores = Path(config.cache_dir) / "scores"
+        before = {p.name for p in scores.iterdir()}
+        if change == "metrics":
+            changed = replace(config, metrics=MetricsConfig(threshold_km=100.0))
+        else:
+            changed = replace(config, corpora=tuple(replace(c, completeness="partial") for c in config.corpora))
+        run_benchmark(changed, tmp_path / "fresh", use_cache=False)
+        self.refuse_parsing(monkeypatch)
+        run_benchmark(changed, tmp_path / "changed")
+        self.assert_same_run(tmp_path / "fresh", tmp_path / "changed")
+        report = "reports/demo__baseline.json"
+        assert (tmp_path / "changed" / report).read_bytes() != (tmp_path / "first" / report).read_bytes()
+        assert self.cache_files(config) == predictions
+        assert len({p.name for p in scores.iterdir()} - before) == 4  # one new entry per evaluation
+
+    def test_unwritable_score_entries_are_logged_not_fatal(self, tmp_path, caplog):
+        config = self.two_corpora_two_builtins(tmp_path)
+        Path(config.cache_dir).mkdir()
+        (Path(config.cache_dir) / "scores").write_text("")
+        for run in ("first", "second"):
+            caplog.clear()
+            run_benchmark(config, tmp_path / run)
+            warnings = self.warnings(caplog)
+            assert len(warnings) == 4 and all(w.startswith("score entry ") and " not written (" in w for w in warnings)
+        assert len(self.cache_files(config)) == 4
+        run_benchmark(config, tmp_path / "no-cache", use_cache=False)
+        self.assert_same_run(tmp_path / "no-cache", tmp_path / "first")
+        self.assert_same_run(tmp_path / "no-cache", tmp_path / "second")
+
+    def test_unreadable_corpus_file_is_a_corpus_error(self, tmp_path):
+        from dataclasses import replace
+
+        config = self.two_corpora_two_builtins(tmp_path)
+        missing = replace(config, corpora=(replace(config.corpora[0], path=str(tmp_path / "absent.jsonl")),))
+        for use_cache in (True, False):
+            with pytest.raises(CorpusFormatError, match="^cannot read corpus file .*absent.jsonl"):
+                run_benchmark(missing, tmp_path / "run", use_cache=use_cache)
+
     @staticmethod
     def raised_at(config, out, workers):
-        import multiprocessing
-
         with pytest.raises(Exception) as caught:
             run_benchmark(config, out, workers=workers)
-        assert multiprocessing.active_children() == []
         return type(caught.value), str(caught.value)
 
     def test_corrupt_later_corpus_fails_as_at_one_worker(self, tmp_path):
@@ -781,17 +870,6 @@ class TestRunBenchmark:
         assert first[0] is AdapterError and "failed on 3/8 documents of corpus 'demo'" in first[1]
         assert self.raised_at(config, tmp_path / "w2", 2) == first
 
-    def test_external_only_corpora_run_inline(self, tmp_path, monkeypatch):
-        from dataclasses import replace
-
-        empty = GeoparserSpec("external-process", "empty", {"command": flaky_child(tmp_path, [])})
-        config = replace(self.two_corpora_two_builtins(tmp_path, cache=False), geoparsers=(empty,))
-        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
-        run_benchmark(config, tmp_path / "w2", workers=2)
-        run_benchmark(config, tmp_path / "w1", workers=1)
-        for sub in ("reports", "leaderboards"):
-            self.assert_same_run(tmp_path / "w1" / sub, tmp_path / "w2" / sub)
-
     def test_more_corpora_than_workers(self, tmp_path, monkeypatch):
         from dataclasses import replace
 
@@ -799,59 +877,12 @@ class TestRunBenchmark:
         demo, lower = config.corpora
         again = (replace(demo, name="again"), replace(lower, name="lower-again"), replace(demo, name="last"))
         config = replace(config, corpora=(demo, lower, *again))
-        logged = self.log_parses(monkeypatch, tmp_path / "parses.jsonl")
+        parses = self.log_parses(monkeypatch)
         run_benchmark(config, tmp_path / "w2", workers=2)
-        assert len(logged()) == 5 * 2 * 8 and os.getpid() in {pid for pid, _ in logged()}
+        assert len(parses) == 5 * 2 * 8
         run_benchmark(config, tmp_path / "w1", workers=1)
         for sub in ("reports", "leaderboards"):
             self.assert_same_run(tmp_path / "w1" / sub, tmp_path / "w2" / sub)
-
-    def test_each_forked_corpus_starts_one_external_child(self, tmp_path):
-        import sys
-        from dataclasses import replace
-
-        pids = tmp_path / "pids"
-        child = tmp_path / "pid_child.py"
-        child.write_text(
-            "import json, os, sys\n"
-            "with open(sys.argv[1], 'a', encoding='utf-8') as fh:\n"
-            "    fh.write(f'{os.getpid()}\\n')\n"
-            "for line in sys.stdin:\n"
-            "    print(json.dumps({'id': json.loads(line)['id'], 'toponyms': []}), flush=True)\n",
-            encoding="utf-8",
-        )
-        pid_spec = GeoparserSpec("external-process", "pid", {"command": [sys.executable, str(child), str(pids)]})
-        # the builtin makes the corpora run in two processes
-        config = replace(self.two_corpora_two_builtins(tmp_path, cache=False), geoparsers=(BUILTIN, pid_spec))
-        run_benchmark(config, tmp_path / "w2", workers=2)
-        # two documents in flight at two workers: one per corpus, so one child each
-        assert len(set(pids.read_text(encoding="utf-8").split())) == 2
-
-    def test_killed_worker_fails_the_run_and_leaves_no_process_behind(self, tmp_path):
-        import multiprocessing
-        import sys
-        from dataclasses import replace
-
-        child = tmp_path / "killer.py"
-        # kills the process that started it when asked to parse a lower-cased document, i.e. the second corpus,
-        # which a forked worker evaluates; answers the first corpus's documents, which this process evaluates
-        child.write_text(
-            "import json, os, signal, sys\n"
-            "for line in sys.stdin:\n"
-            "    request = json.loads(line)\n"
-            "    if request['text'] == request['text'].lower():\n"
-            "        os.kill(os.getppid(), signal.SIGKILL)\n"
-            "    print(json.dumps({'id': request['id'], 'toponyms': []}), flush=True)\n",
-            encoding="utf-8",
-        )
-        killer = GeoparserSpec("external-process", "killer", {"command": [sys.executable, str(child)]})
-        config = replace(self.two_corpora_two_builtins(tmp_path, cache=False), geoparsers=(BUILTIN, killer))
-        lost = "^a corpus worker process died; the reports of corpus 'lower' were lost$"
-        with pytest.raises(WorkerLostError, match=lost):
-            run_benchmark(config, tmp_path / "w2", workers=2)
-        assert multiprocessing.active_children() == []
-        reports = sorted(p.name for p in (tmp_path / "w2" / "reports").iterdir())
-        assert reports == ["demo__baseline.json", "demo__killer.json"]
 
     def test_index_run_hits_cache_primed_by_tsv_run(self, tmp_path, monkeypatch):
         from geobench import ingest_gazetteer, save_index
