@@ -12,15 +12,21 @@ that turns a GeoparserSpec into a runnable parser.
 from __future__ import annotations
 
 import math
+import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+from itertools import accumulate
 from typing import NamedTuple
 
-from .corpus import Document, GeoPoint
+from .corpus import Document, GeoPoint, is_json_int
 from .gazetteer import WORD, Gazetteer, GazetteerEntry, normalize_name
 
 GEOPARSER_KINDS = ("builtin-baseline", "external-process", "external-http")
+
+# splits a text into the parts between word tokens (even indexes) and the tokens (odd indexes)
+_TOKENS = re.compile(r"(\w+)")
 
 
 class NoCandidateError(LookupError):
@@ -84,28 +90,95 @@ class GeoparserSpec:
             raise ValueError(f"geoparser kind must be one of {GEOPARSER_KINDS}, got {self.kind!r}")
         if not self.identifier:
             raise ValueError("geoparser identifier must be non-empty")
+        _check_parameters(self.kind, self.parameters or {})
 
 
-def _leads_every_ngram(text: str, tokens: list, i: int, first: str, longest: int, fold: bool) -> bool:
-    """Whether `first`, the normalized token i, is the leading word of every normalized n-gram from i.
+_BUILTIN_FLAGS = ("require_capitalized", "no_default_stoplist", "primary_names_only")
 
-    Case-folding and stripping combining marks act one character at a
-    time, and collapsing whitespace one run at a time, so each normalized
-    n-gram from token i starts with `first`, and all those of two or more
-    tokens share the character after it. If `first` is a whole word and
-    that character is no word character, `first` is their leading word.
-    The character must be taken from a normalized n-gram: a separator of
-    combining marks alone vanishes when diacritics are folded.
-    """
-    if not WORD.fullmatch(first):
-        return False
-    if longest == 1:
-        return True
-    if text[tokens[i][1]].isascii():
-        # not a word character, as tokens are whole words; it normalizes to itself or to a space
-        return True
-    two = normalize_name(text[tokens[i][0] : tokens[i + 1][1]], fold)
-    return WORD.match(two, len(first)) is None
+
+def _check_parameters(kind: str, params: dict) -> None:
+    """Raise ValueError for a parameter a geoparser of `kind` cannot run on, before any gazetteer or child."""
+    from .adapters import _checked_timeout
+
+    if kind == "builtin-baseline":
+        unknown = sorted(set(params) - {"max_ngram", "extra_stopwords", *_BUILTIN_FLAGS})
+        if unknown:
+            raise ValueError(f"unknown builtin-baseline parameter {unknown[0]!r}")
+        max_ngram = params.get("max_ngram", 5)
+        if not is_json_int(max_ngram) or max_ngram < 1:
+            raise ValueError(f"max_ngram must be an integer >= 1, got {max_ngram!r}")
+        for flag in _BUILTIN_FLAGS:
+            if not isinstance(params.get(flag, False), bool):
+                raise ValueError(f"{flag} must be true or false, got {params[flag]!r}")
+        words = params.get("extra_stopwords", [])
+        if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+            raise ValueError(f"extra_stopwords must be a list of strings, got {words!r}")
+        return
+    if kind == "external-process":
+        command = params.get("command")
+        if not command or not isinstance(command, (list, tuple)) or not all(isinstance(a, str) for a in command):
+            raise ValueError(f"external-process geoparser needs parameters.command as an argv list, got {command!r}")
+    elif not params.get("endpoint") or not isinstance(params["endpoint"], str):
+        raise ValueError(f"external-http geoparser needs parameters.endpoint as a URL, got {params.get('endpoint')!r}")
+    if "timeout" in params:
+        _checked_timeout(params["timeout"])
+
+
+def _matches(text: str, gazetteer: Gazetteer, config: RecognizerConfig) -> Iterator[tuple[int, int, str]]:
+    """(start, end, normalized name) of each match of recognize_lexicon, left to right."""
+    fold = gazetteer.fold_diacritics
+    lexicon = gazetteer.lexicon(config.primary_names_only)
+    heads = gazetteer.head_limits()
+    stoplist = config.stoplist
+    parts = _TOKENS.split(text)
+    words = parts[1::2]
+    after = parts[2::2]  # the text after each token; empty only after the text's last character
+    # token k is text[bounds[2k + 1] : bounds[2k + 2]]
+    bounds = list(accumulate(map(len, parts), initial=0))
+    gate = config.require_capitalized
+    # The head test below prunes every token whose case-fold is ASCII and is followed by an ASCII character or
+    # nothing: that case-fold is then the token's normalized form and a whole word. So only the other tokens,
+    # and heads, can start a match.
+    candidates = [
+        k
+        for k, (word, rest) in enumerate(zip(words, after))
+        if (not gate or word[0].isupper())
+        and ((folded := word.casefold()) in heads or not folded.isascii() or not rest[:1].isascii())
+    ]
+    n = len(words)
+    resume = 0
+    for i in candidates:
+        if i < resume:  # inside the last match
+            continue
+        start = bounds[2 * i + 1]
+        longest = min(config.max_ngram, n - i)
+        # no word character is whitespace, so an unfolded token normalizes to its case-fold
+        first = normalize_name(words[i], True) if fold else words[i].casefold()
+        # Case-folding and stripping combining marks act one character at a time, and collapsing whitespace
+        # one run at a time, so each normalized n-gram from token i starts with `first`, and all those of two
+        # or more tokens share the character after it. If `first` is a whole word and that character is no
+        # word character, `first` is their leading word, and only names with head `first`, no longer than its
+        # limit, can match. The character must be taken from a normalized n-gram: a separator of combining
+        # marks alone vanishes when diacritics are folded. An ASCII one is no word character, as tokens are
+        # whole words, and normalizes to itself or to a space.
+        limit = math.inf
+        if WORD.fullmatch(first) and (
+            longest == 1
+            or after[i][:1].isascii()
+            or WORD.match(normalize_name(text[start : bounds[2 * i + 4]], fold), len(first)) is None
+        ):
+            limit = heads.get(first, 0)
+        ngrams = []
+        for k in range(1, longest + 1):
+            normalized = normalize_name(text[start : bounds[2 * (i + k)]], fold) if k > 1 else first
+            if len(normalized) > limit:  # n-grams only grow with k
+                break
+            ngrams.append((k, normalized))
+        for k, normalized in reversed(ngrams):
+            if normalized not in stoplist and normalized in lexicon:
+                yield start, bounds[2 * (i + k)], normalized
+                resume = i + k
+                break
 
 
 def recognize_lexicon(document: Document, gazetteer: Gazetteer, config: RecognizerConfig | None = None) -> list[Span]:
@@ -117,39 +190,9 @@ def recognize_lexicon(document: Document, gazetteer: Gazetteer, config: Recogniz
     stoplist becomes a match, and scanning resumes after it. Matches are
     therefore non-overlapping and sorted.
     """
-    config = config or RecognizerConfig()
-    fold = gazetteer.fold_diacritics
-    lexicon = gazetteer.lexicon(config.primary_names_only)
-    heads = gazetteer.head_limits()
     text = document.text
-    tokens = [(m.start(), m.end()) for m in WORD.finditer(text)]
-    spans: list[Span] = []
-    i = 0
-    n = len(tokens)
-    while i < n:
-        start, first_end = tokens[i]
-        if config.require_capitalized and not text[start].isupper():
-            i += 1
-            continue
-        longest = min(config.max_ngram, n - i)
-        first = normalize_name(text[start:first_end], fold)
-        # only names with head `first`, and no longer than its limit, can match
-        limit = heads.get(first, 0) if _leads_every_ngram(text, tokens, i, first, longest, fold) else math.inf
-        ngrams = []
-        for k in range(1, longest + 1):
-            normalized = normalize_name(text[start : tokens[i + k - 1][1]], fold) if k > 1 else first
-            if len(normalized) > limit:  # n-grams only grow with k
-                break
-            ngrams.append((k, normalized))
-        for k, normalized in reversed(ngrams):
-            if normalized not in config.stoplist and normalized in lexicon:
-                end = tokens[i + k - 1][1]
-                spans.append(Span(start, end, text[start:end]))
-                i += k
-                break
-        else:
-            i += 1
-    return spans
+    matches = _matches(text, gazetteer, config or RecognizerConfig())
+    return [Span(start, end, text[start:end]) for start, end, _ in matches]
 
 
 def resolve_population(name: str, gazetteer: Gazetteer, primary_only: bool = False) -> GazetteerEntry:
@@ -175,11 +218,12 @@ class BuiltinGeoparser:
         self.config = config or RecognizerConfig()
 
     def parse_document(self, document: Document) -> tuple[list[PredictedToponym], int]:
+        text = document.text
+        lexicon = self.gazetteer.lexicon(self.config.primary_names_only)
         predictions = []
-        # a recognized span's normalized name is in the lexicon, so it always resolves
-        for span in recognize_lexicon(document, self.gazetteer, self.config):
-            entry = resolve_population(span.name, self.gazetteer, self.config.primary_names_only)
-            predictions.append(PredictedToponym(span.start, span.end, span.name, point=entry.point, entry_id=entry.id))
+        for start, end, key in _matches(text, self.gazetteer, self.config):
+            entry = lexicon[key]
+            predictions.append(PredictedToponym(start, end, text[start:end], point=entry.point, entry_id=entry.id))
         return predictions, 0
 
     def close(self) -> None:
@@ -243,7 +287,7 @@ def create_geoparser(spec: GeoparserSpec, gazetteer: Gazetteer | None = None):
     """
     from . import adapters
 
-    params = spec.parameters or {}
+    params = spec.parameters or {}  # checked when the spec was made
     if spec.kind == "builtin-baseline":
         if gazetteer is None:
             raise ValueError("builtin-baseline geoparser needs a gazetteer")
@@ -256,17 +300,10 @@ def create_geoparser(spec: GeoparserSpec, gazetteer: Gazetteer | None = None):
             primary_names_only=params.get("primary_names_only", False),
         )
         return BuiltinGeoparser(gazetteer, config)
+    timeout = params.get("timeout", adapters.DEFAULT_TIMEOUT)
     if spec.kind == "external-process":
-        command = params.get("command")
-        if not command or not isinstance(command, (list, tuple)):
-            raise ValueError("external-process geoparser needs parameters.command as an argv list")
-        return adapters.ProcessGeoparser(list(command), timeout=params.get("timeout", adapters.DEFAULT_TIMEOUT))
-    if spec.kind == "external-http":
-        endpoint = params.get("endpoint")
-        if not endpoint:
-            raise ValueError("external-http geoparser needs parameters.endpoint")
-        return adapters.HttpGeoparser(endpoint, timeout=params.get("timeout", adapters.DEFAULT_TIMEOUT))
-    raise ValueError(f"unknown geoparser kind {spec.kind!r}")
+        return adapters.ProcessGeoparser(list(params["command"]), timeout=timeout)
+    return adapters.HttpGeoparser(params["endpoint"], timeout=timeout)
 
 
 def parse(spec: GeoparserSpec, document: Document, gazetteer: Gazetteer | None = None) -> list[PredictedToponym]:

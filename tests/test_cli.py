@@ -226,6 +226,31 @@ class TestRunReportCompare:
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         assert "timeout" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "geoparser, named",
+        [
+            ({"kind": "builtin-baseline", "parameters": {"max_ngram": "5"}}, "max_ngram must be an integer"),
+            ({"kind": "builtin-baseline", "parameters": {"require_capitalized": "no"}}, "require_capitalized"),
+            ({"kind": "builtin-baseline", "parameters": {"extra_stopwords": "abc"}}, "extra_stopwords"),
+            ({"kind": "builtin-baseline", "parameters": {"max_ngrams": 3}}, "unknown builtin-baseline parameter"),
+            ({"kind": "external-process", "parameters": {"command": ["python3", 5]}}, "parameters.command"),
+        ],
+        ids=["max_ngram-string", "flag-string", "stopwords-string", "unknown-key", "command-element"],
+    )
+    def test_bad_geoparser_parameter_is_data_error_before_the_gazetteer_loads(
+        self, run_setup, tmp_path, capsys, monkeypatch, geoparser, named
+    ):
+        from geobench import harness
+
+        monkeypatch.setattr(harness, "load_gazetteer_for_run", lambda config: pytest.fail("gazetteer loaded"))
+        raw = json.loads(run_setup.read_text(encoding="utf-8"))
+        raw["geoparsers"].append({"identifier": "odd", **geoparser})
+        run_setup.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(run_setup), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stderr_marks_each_evaluation_then_the_run_directory(self, run_setup, tmp_path):
         # a benchmark of `geobench run` ends its set-up time at the first line starting "evaluating "
         raw = json.loads(run_setup.read_text(encoding="utf-8"))

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import threading
 from collections import Counter
@@ -139,7 +140,9 @@ class TestResolve:
 # loses its accent when folding, "ﬁ" expands to "fi", "Ⅷ" lowercases.
 FUZZ_WORDS = ("a", "b", "on", "new", "york", "ss", "fi", "i", "viii", "ke", "la")
 FUZZ_ODD = ("ß", "İ", "\u0345", "e\u0301", "é", "ﬁ", "Ⅷ")
-FUZZ_SEPARATORS = ("-", "'", ".", "\t", " ", "  ", "   ", " - ")
+# The separators include non-ASCII ones, no-break space, en dash and ideographic space, after which a token
+# that is no head is still scanned.
+FUZZ_SEPARATORS = ("-", "'", ".", "\t", " ", "  ", "   ", " - ", "\u00a0", "\u2013", "\u3000")
 
 
 def _fuzz_piece(rng: random.Random) -> str:
@@ -234,6 +237,23 @@ class TestMatchesReference:
         config = RecognizerConfig()
         assert _parse(doc, gazetteer, config) == [(0, 5, "İzmir", 1)]
         assert _parse(doc, gazetteer, config) == _reference_parse(doc, gazetteer, config)
+
+    @pytest.mark.parametrize("fold", [False, True])
+    def test_non_head_token_before_a_non_ascii_separator_inside_a_name(self, fold):
+        # U+0345 is no word character, so it parts "Ke" from "la", but it case-folds to a Greek iota, which is
+        # one: "Ke" is no head, yet starts the one-word name "keιla"
+        gazetteer = Gazetteer.from_entries([GazetteerEntry(1, "Ke\u0345la", (), GeoPoint(1, 1))], fold)
+        assert "ke" not in gazetteer.head_limits()
+        doc = Document("d", "Visit Ke\u0345la now", ())
+        config = RecognizerConfig()
+        assert _parse(doc, gazetteer, config) == [(6, 11, "Ke\u0345la", 1)]
+        assert _parse(doc, gazetteer, config) == _reference_parse(doc, gazetteer, config)
+
+    def test_no_word_character_is_whitespace(self):
+        # so an unfolded token, a run of word characters, normalizes to its case-fold
+        word = re.compile(r"\w")
+        chars = map(chr, range(sys.maxunicode + 1))
+        assert [c for c in chars if word.fullmatch(c) and c.split() != [c]] == []
 
     def test_stoplisted_longest_ngram_yields_to_shorter(self):
         entries = [
@@ -349,6 +369,53 @@ class TestSpecAndFactory:
         assert not parser.config.require_capitalized
         assert "berlin" in parser.config.stoplist
         assert parser.parse_document(Document("d", "visit berlin", ()))[0] == []
+
+    @pytest.mark.parametrize(
+        "parameters",
+        [
+            {"max_ngram": "5"},
+            {"max_ngram": 2.5},
+            {"max_ngram": True},
+            {"max_ngram": 0},
+            {"require_capitalized": "no"},
+            {"no_default_stoplist": 1},
+            {"primary_names_only": None},
+            {"extra_stopwords": "abc"},
+            {"extra_stopwords": ["Nice", 3]},
+            {"max_ngrams": 3},
+        ],
+        ids=repr,
+    )
+    def test_bad_builtin_parameter_is_rejected_with_the_spec(self, parameters):
+        with pytest.raises(ValueError, match=next(iter(parameters))):
+            GeoparserSpec("builtin-baseline", "b", parameters)
+
+    def test_every_builtin_parameter_of_the_right_type_is_accepted(self):
+        parameters = {
+            "max_ngram": 1,
+            "require_capitalized": False,
+            "no_default_stoplist": True,
+            "primary_names_only": True,
+            "extra_stopwords": [],
+        }
+        config = create_geoparser(GeoparserSpec("builtin-baseline", "b", parameters), small_gazetteer()).config
+        assert config == RecognizerConfig(1, False, frozenset(), True)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ("external-process", {"command": ["python3", 5]}),
+            ("external-process", {"command": "python3 child.py"}),
+            ("external-process", {"command": ["python3"], "timeout": "5"}),
+            ("external-http", {"endpoint": 8080}),
+            ("external-http", {"endpoint": "http://127.0.0.1:9/", "timeout": 0}),
+        ],
+        ids=repr,
+    )
+    def test_bad_external_parameter_is_rejected_with_the_spec(self, spec):
+        kind, parameters = spec
+        with pytest.raises(ValueError):
+            GeoparserSpec(kind, "x", parameters)
 
     def test_process_spec_needs_command(self):
         with pytest.raises(ValueError, match="command"):
