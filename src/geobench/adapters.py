@@ -15,13 +15,12 @@ AdapterProtocolError with the raw payload attached for diagnostics.
 from __future__ import annotations
 
 import json
-import math
 import queue
 import subprocess
 import threading
 from urllib.parse import urlsplit
 
-from .corpus import Document, is_json_number
+from .corpus import Document, is_positive_json_number
 from .geoparser import PredictedToponym, coerce_predictions
 
 DEFAULT_TIMEOUT = 120.0
@@ -48,9 +47,24 @@ class AdapterProtocolError(AdapterError):
 
 def _checked_timeout(timeout) -> float:
     """A per-document timeout in seconds: a finite JSON number above zero, checked before any socket or child."""
-    if not is_json_number(timeout) or not 0 < timeout < math.inf:  # also false for NaN
+    if not is_positive_json_number(timeout):
         raise ValueError(f"geoparser timeout must be a finite number of seconds above 0, got {timeout!r}")
     return timeout
+
+
+def _checked_endpoint(endpoint) -> str:
+    """The URL `<endpoint>/parse`, checked before any socket: http(s), a host, no user info, a port from 1 to 65535."""
+    try:
+        url = endpoint.rstrip("/") + "/parse"
+        parts = urlsplit(url)
+        if parts.scheme in ("http", "https") and parts.hostname and "@" not in parts.netloc and parts.port != 0:
+            return url
+    except (AttributeError, TypeError, ValueError):  # not a string, or a port that is no number from 0 to 65535
+        pass
+    raise ValueError(
+        f"external-http geoparser needs parameters.endpoint as an http(s) URL with a host, no user info and a port "
+        f"from 1 to 65535, got {endpoint!r}"
+    )
 
 
 def _request_line(document: Document) -> str:
@@ -159,11 +173,9 @@ class HttpGeoparser:
     """
 
     def __init__(self, endpoint: str, timeout: float = DEFAULT_TIMEOUT):
-        self.url = endpoint.rstrip("/") + "/parse"
+        self.url = _checked_endpoint(endpoint)
         self.timeout = _checked_timeout(timeout)
         parts = urlsplit(self.url)
-        if parts.scheme not in ("http", "https") or not parts.hostname or "@" in parts.netloc:
-            raise ValueError(f"external-http endpoint needs an http(s) URL with a host and no user info: {endpoint!r}")
         self._target = parts.path + (f"?{parts.query}" if parts.query else "")
         import http.client  # here, as in parse_document: importing it costs runs without an HTTP geoparser ~30 ms
 

@@ -17,6 +17,7 @@ import gc
 import io
 import json
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -102,8 +103,14 @@ class Violation:
     end: int | None = None
 
 
-def _document_violations(doc: Document) -> list[Violation]:
+def _document_violations(doc: Document, seen_ids: set[str]) -> list[Violation]:
+    """The violations of one document, whose id is then added to the ids of the documents before it."""
     out = []
+    if not doc.id:
+        out.append(Violation(doc.id, "empty document id"))
+    if doc.id in seen_ids:
+        out.append(Violation(doc.id, "duplicate document id"))
+    seen_ids.add(doc.id)
     seen_spans = set()
     prev_key = None
     for top in doc.gold:
@@ -143,12 +150,7 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
         out.append(Violation("", f"completeness must be one of {COMPLETENESS_VALUES}, got {corpus.completeness!r}"))
     seen_ids = set()
     for doc in corpus.documents:
-        if not doc.id:
-            out.append(Violation(doc.id, "empty document id"))
-        if doc.id in seen_ids:
-            out.append(Violation(doc.id, "duplicate document id"))
-        seen_ids.add(doc.id)
-        out.extend(_document_violations(doc))
+        out.extend(_document_violations(doc, seen_ids))
     return out
 
 
@@ -160,6 +162,11 @@ def is_json_int(value) -> bool:
 def is_json_number(value) -> bool:
     """Whether a decoded JSON value is a number (integer or float), not a bool."""
     return type(value) in (int, float)
+
+
+def is_positive_json_number(value) -> bool:
+    """Whether a decoded JSON value is a number above 0 that a float holds: false for NaN, infinities and bools."""
+    return is_json_number(value) and 0 < value <= sys.float_info.max
 
 
 @contextmanager
@@ -248,9 +255,6 @@ def load_corpus(
             doc_id, text = raw["id"], raw["text"]
             if not isinstance(doc_id, str) or not isinstance(text, str):
                 raise CorpusFormatError(f"{path}:{lineno}: 'id' and 'text' must be strings")
-            if doc_id in seen_ids:
-                raise CorpusFormatError(f"{path}:{lineno}: duplicate document id {doc_id!r}")
-            seen_ids.add(doc_id)
             tops = raw.get("toponyms", [])
             if not isinstance(tops, list):
                 raise CorpusFormatError(f"{path}:{lineno}: 'toponyms' must be a list")
@@ -259,7 +263,7 @@ def load_corpus(
             except CorpusFormatError as exc:
                 raise CorpusFormatError(f"{path}:{lineno}: {exc}") from None
             doc = Document(id=doc_id, text=text, gold=tuple(gold), source=corpus_name)
-            bad = _document_violations(doc)
+            bad = _document_violations(doc, seen_ids)
             if bad:
                 raise CorpusFormatError(f"{path}:{lineno}: {bad[0].message} (document {doc_id!r})")
             documents.append(doc)

@@ -51,11 +51,11 @@ class Span(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def default_stoplist() -> frozenset[str]:
-    """Normalized forms of the shipped stoplist (data/stoplist.txt)."""
+def default_stoplist(fold_diacritics: bool = False) -> frozenset[str]:
+    """Normalized forms of the shipped stoplist (data/stoplist.txt), with diacritics folded or not."""
     text = resources.files("geobench").joinpath("data/stoplist.txt").read_text("utf-8")
     words = (line.strip() for line in text.splitlines())
-    return frozenset(normalize_name(w) for w in words if w and not w.startswith("#"))
+    return frozenset(normalize_name(w, fold_diacritics) for w in words if w and not w.startswith("#"))
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,30 @@ class RecognizerConfig:
     primary_names_only: bool = False
 
     def __post_init__(self):
-        if self.max_ngram < 1:
-            raise ValueError("max_ngram must be >= 1")
+        if not is_json_int(self.max_ngram) or self.max_ngram < 1:
+            raise ValueError(f"max_ngram must be an integer >= 1, got {self.max_ngram!r}")
+
+    @classmethod
+    def from_parameters(cls, params: dict, fold_diacritics: bool = False) -> RecognizerConfig:
+        """The config of a builtin-baseline spec's `parameters`, for a gazetteer with this fold flag.
+
+        An absent key takes its default; another key, or a value of the wrong type, is a ValueError. Stopwords
+        are normalized as the gazetteer normalizes names.
+        """
+        flags = ("require_capitalized", "no_default_stoplist", "primary_names_only")
+        unknown = sorted(set(params) - {"max_ngram", "extra_stopwords", *flags})
+        if unknown:
+            raise ValueError(f"unknown builtin-baseline parameter {unknown[0]!r}")
+        for flag in flags:
+            if not isinstance(params.get(flag, False), bool):
+                raise ValueError(f"{flag} must be true or false, got {params[flag]!r}")
+        words = params.get("extra_stopwords", [])
+        if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+            raise ValueError(f"extra_stopwords must be a list of strings, got {words!r}")
+        stoplist = frozenset() if params.get("no_default_stoplist") else default_stoplist(fold_diacritics)
+        stoplist |= {normalize_name(w, fold_diacritics) for w in words}
+        fields = {key: value for key, value in params.items() if key not in ("no_default_stoplist", "extra_stopwords")}
+        return cls(stoplist=stoplist, **fields)
 
 
 @dataclass(frozen=True)
@@ -93,33 +115,18 @@ class GeoparserSpec:
         _check_parameters(self.kind, self.parameters or {})
 
 
-_BUILTIN_FLAGS = ("require_capitalized", "no_default_stoplist", "primary_names_only")
-
-
 def _check_parameters(kind: str, params: dict) -> None:
     """Raise ValueError for a parameter a geoparser of `kind` cannot run on, before any gazetteer or child."""
-    from .adapters import _checked_timeout
+    from .adapters import _checked_endpoint, _checked_timeout
 
     if kind == "builtin-baseline":
-        unknown = sorted(set(params) - {"max_ngram", "extra_stopwords", *_BUILTIN_FLAGS})
-        if unknown:
-            raise ValueError(f"unknown builtin-baseline parameter {unknown[0]!r}")
-        max_ngram = params.get("max_ngram", 5)
-        if not is_json_int(max_ngram) or max_ngram < 1:
-            raise ValueError(f"max_ngram must be an integer >= 1, got {max_ngram!r}")
-        for flag in _BUILTIN_FLAGS:
-            if not isinstance(params.get(flag, False), bool):
-                raise ValueError(f"{flag} must be true or false, got {params[flag]!r}")
-        words = params.get("extra_stopwords", [])
-        if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
-            raise ValueError(f"extra_stopwords must be a list of strings, got {words!r}")
-        return
-    if kind == "external-process":
+        RecognizerConfig.from_parameters(params)  # which refuses a timeout
+    elif kind == "external-process":
         command = params.get("command")
         if not command or not isinstance(command, (list, tuple)) or not all(isinstance(a, str) for a in command):
             raise ValueError(f"external-process geoparser needs parameters.command as an argv list, got {command!r}")
-    elif not params.get("endpoint") or not isinstance(params["endpoint"], str):
-        raise ValueError(f"external-http geoparser needs parameters.endpoint as a URL, got {params.get('endpoint')!r}")
+    else:
+        _checked_endpoint(params.get("endpoint"))
     if "timeout" in params:
         _checked_timeout(params["timeout"])
 
@@ -291,15 +298,7 @@ def create_geoparser(spec: GeoparserSpec, gazetteer: Gazetteer | None = None):
     if spec.kind == "builtin-baseline":
         if gazetteer is None:
             raise ValueError("builtin-baseline geoparser needs a gazetteer")
-        stoplist = set() if params.get("no_default_stoplist") else set(default_stoplist())
-        stoplist.update(normalize_name(w) for w in params.get("extra_stopwords", ()))
-        config = RecognizerConfig(
-            max_ngram=params.get("max_ngram", 5),
-            require_capitalized=params.get("require_capitalized", True),
-            stoplist=frozenset(stoplist),
-            primary_names_only=params.get("primary_names_only", False),
-        )
-        return BuiltinGeoparser(gazetteer, config)
+        return BuiltinGeoparser(gazetteer, RecognizerConfig.from_parameters(params, gazetteer.fold_diacritics))
     timeout = params.get("timeout", adapters.DEFAULT_TIMEOUT)
     if spec.kind == "external-process":
         return adapters.ProcessGeoparser(list(params["command"]), timeout=timeout)

@@ -34,8 +34,8 @@ from .corpus import (
     load_manifest,
 )
 from .gazetteer import Gazetteer, ingest_gazetteer, load_index
-from .geoparser import GeoparserSpec, PredictedToponym, create_geoparser
-from .metrics import EvalReport, MetricsConfig, align, build_report, distance_errors, warn_missing_gold
+from .geoparser import GeoparserSpec, PredictedToponym, RecognizerConfig, create_geoparser
+from .metrics import REPORT_METRICS, EvalReport, MetricsConfig, align, build_report, distance_errors, warn_missing_gold
 
 # Text/CSV column order for rendered leaderboards.
 METRIC_COLUMNS = ("precision", "recall", "f_score", "accuracy", "mean", "median", "auc", "acc_at_161")
@@ -94,8 +94,10 @@ class RunConfig:
                 f"corpus names and geoparser identifiers must give distinct file names; several evaluations would "
                 f"write reports/{shared[0]}"
             )
-        if self.parallelism < 1:
-            raise RunConfigError("parallelism must be >= 1")
+        if not isinstance(self.fold_diacritics, bool):
+            raise RunConfigError(f"gazetteer fold_diacritics must be true or false, got {self.fold_diacritics!r}")
+        if not is_json_int(self.parallelism) or self.parallelism < 1:
+            raise RunConfigError(f"parallelism must be >= 1 and a JSON integer, got {self.parallelism!r}")
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -141,21 +143,15 @@ def load_run_config(path: str | Path) -> RunConfig:
             geoparsers.append(GeoparserSpec(kind=item["kind"], identifier=item["identifier"], parameters=parameters))
         metrics = MetricsConfig(**raw.get("metrics", {}))
         cache_dir = raw.get("cache_dir")
-        fold_diacritics = gaz.get("fold_diacritics", False)
-        if not isinstance(fold_diacritics, bool):
-            raise TypeError(f"gazetteer fold_diacritics must be true or false, got {fold_diacritics!r}")
-        parallelism = raw.get("parallelism", 1)
-        if not is_json_int(parallelism):
-            raise TypeError(f"parallelism must be a JSON integer, got {parallelism!r}")
         return RunConfig(
             corpora=tuple(corpora),
             gazetteer_path=_resolve(gaz["path"]),
             gazetteer_schema=gaz.get("schema", "geonames"),
-            fold_diacritics=fold_diacritics,
+            fold_diacritics=gaz.get("fold_diacritics", False),
             geoparsers=tuple(geoparsers),
             metrics=metrics,
             cache_dir=_resolve(cache_dir) if cache_dir else None,
-            parallelism=parallelism,
+            parallelism=raw.get("parallelism", 1),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise RunConfigError(f"invalid run config {path}: {exc}") from None
@@ -221,6 +217,12 @@ def _cache_path(
     h.update(corpus_hash.encode())
     if spec.kind == "builtin-baseline" and gazetteer is not None:
         h.update(gazetteer.digest().encode())
+        # Stopwords are normalized with the gazetteer's fold flag. A spec whose stoplist folding changes gets a key
+        # of its own, so that no entry written while its stopwords went unfolded is read as its predictions.
+        if gazetteer.fold_diacritics:
+            stoplists = {RecognizerConfig.from_parameters(spec.parameters or {}, f).stoplist for f in (True, False)}
+            if len(stoplists) > 1:
+                h.update(b"folded stopwords")
     return Path(cache_dir) / f"{_safe_name(spec.identifier)}__{_safe_name(corpus_name)}__{h.hexdigest()[:16]}.jsonl"
 
 
@@ -501,10 +503,6 @@ def compare(reports: list[tuple[str, EvalReport]], completeness: str = "complete
     return Leaderboard(corpus=corpus, ordering_key=key, rows=rows)
 
 
-def _metric_value(report: EvalReport, column: str):
-    return {"mean": report.mean_km, "median": report.median_km}.get(column, getattr(report, column, None))
-
-
 def _format_cell(value, blank: str) -> str:
     return blank if value is None else f"{value:.3f}"
 
@@ -516,11 +514,12 @@ def render_report(board: Leaderboard, format: str = "text") -> bytes:
     suppressed or absent metrics render as "-" (text), an empty cell
     (CSV), or null (JSON).
     """
+    table = [(name, [getattr(report, REPORT_METRICS[c]) for c in METRIC_COLUMNS]) for name, report in board.rows]
     if format == "text":
         header = ["geoparser", *METRIC_COLUMNS]
         lines = [header]
-        for identifier, report in board.rows:
-            lines.append([identifier, *(_format_cell(_metric_value(report, c), "-") for c in METRIC_COLUMNS)])
+        for identifier, values in table:
+            lines.append([identifier, *(_format_cell(value, "-") for value in values)])
         widths = [max(len(row[i]) for row in lines) for i in range(len(header))]
         out = StringIO()
         out.write(f"# {board.corpus} (ordered by {board.ordering_key})\n")
@@ -534,17 +533,14 @@ def render_report(board: Leaderboard, format: str = "text") -> bytes:
         out = StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["geoparser", *METRIC_COLUMNS])
-        for identifier, report in board.rows:
-            writer.writerow([identifier, *(_format_cell(_metric_value(report, c), "") for c in METRIC_COLUMNS)])
+        for identifier, values in table:
+            writer.writerow([identifier, *(_format_cell(value, "") for value in values)])
         return out.getvalue().encode("utf-8")
     if format == "json":
-        rows = []
-        for identifier, report in board.rows:
-            row = {"geoparser": identifier}
-            for column in METRIC_COLUMNS:
-                value = _metric_value(report, column)
-                row[column] = None if value is None else round(value, 3)
-            rows.append(row)
+        rows = [
+            {"geoparser": identifier, **{c: None if v is None else round(v, 3) for c, v in zip(METRIC_COLUMNS, values)}}
+            for identifier, values in table
+        ]
         payload = {"corpus": board.corpus, "ordering_key": board.ordering_key, "rows": rows}
         return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
     raise ValueError(f"unknown report format {format!r}")
@@ -672,7 +668,11 @@ def load_leaderboards(run_dir: str | Path) -> dict[str, Leaderboard]:
     if not board_dir.is_dir():
         raise RunConfigError(f"{run_dir} has no leaderboards/ directory (not a run directory?)")
     for path in sorted(board_dir.glob("*.json")):
-        with open(path, encoding="utf-8") as fh:
-            board = leaderboard_from_dict(json.load(fh))
+        try:
+            board = leaderboard_from_dict(json.loads(path.read_bytes()))
+            if not all(isinstance(name, str) for name in (board.corpus, *(row[0] for row in board.rows))):
+                raise TypeError("a corpus name or geoparser id is not a string")
+        except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise RunConfigError(f"malformed leaderboard {path}: {exc!r}") from None
         boards[board.corpus] = board
     return boards

@@ -19,13 +19,27 @@ from dataclasses import asdict, dataclass, field
 from statistics import fmean, median
 from typing import NamedTuple
 
-from .corpus import GeoPoint
+from .corpus import GeoPoint, is_positive_json_number
 
 EARTH_RADIUS_KM = 6371.0088
 DEFAULT_THRESHOLD_KM = 161.0
 DEFAULT_D_MAX_KM = 20039.0
 
 MATCH_MODES = ("exact", "overlap")
+
+# The serialized report: the JSON key of each metric and the EvalReport field it holds, then the counts, which
+# are nested under "counts" with their field names.
+REPORT_METRICS = {
+    "precision": "precision",
+    "recall": "recall",
+    "f_score": "f_score",
+    "accuracy": "accuracy",
+    "mean": "mean_km",
+    "median": "median_km",
+    "acc_at_161": "acc_at_161",
+    "auc": "auc",
+}
+REPORT_COUNTS = ("gold", "predicted", "matched", "resolved", "unresolved_matched")
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,12 +52,11 @@ class MetricsConfig:
     def __post_init__(self):
         if self.match_mode not in MATCH_MODES:
             raise ValueError(f"match_mode must be one of {MATCH_MODES}, got {self.match_mode!r}")
-        if not self.threshold_km > 0:
-            raise ValueError("threshold_km must be > 0")
+        for name in ("threshold_km", "d_max_km", "earth_radius_km"):
+            if not is_positive_json_number(value := getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number above 0, got {value!r}")
         if not self.d_max_km > self.threshold_km:
             raise ValueError("d_max_km must be > threshold_km")
-        if not self.earth_radius_km > 0:
-            raise ValueError("earth_radius_km must be > 0")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -355,8 +368,8 @@ def mean_median(distances: list[float], warnings: list[str] | None = None) -> tu
 
 def accuracy_at_threshold(distances: list[float], threshold_km: float = DEFAULT_THRESHOLD_KM) -> float | None:
     """Fraction of error distances within the threshold (inclusive); absent when empty."""
-    if not threshold_km > 0:
-        raise ValueError("threshold_km must be > 0")
+    if not is_positive_json_number(threshold_km):
+        raise ValueError(f"threshold_km must be a finite number above 0, got {threshold_km!r}")
     if not distances:
         return None
     return sum(1 for d in distances if d <= threshold_km) / len(distances)
@@ -414,21 +427,8 @@ class EvalReport:
 
     def to_dict(self) -> dict:
         return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f_score": self.f_score,
-            "accuracy": self.accuracy,
-            "mean": self.mean_km,
-            "median": self.median_km,
-            "acc_at_161": self.acc_at_161,
-            "auc": self.auc,
-            "counts": {
-                "gold": self.gold,
-                "predicted": self.predicted,
-                "matched": self.matched,
-                "resolved": self.resolved,
-                "unresolved_matched": self.unresolved_matched,
-            },
+            **{key: getattr(self, name) for key, name in REPORT_METRICS.items()},
+            "counts": {name: getattr(self, name) for name in REPORT_COUNTS},
             "warnings": list(self.warnings),
             "geoparser": self.geoparser,
             "corpus": self.corpus,
@@ -439,19 +439,8 @@ class EvalReport:
     def from_dict(cls, raw: dict) -> "EvalReport":
         counts = raw.get("counts", {})
         return cls(
-            precision=raw.get("precision"),
-            recall=raw.get("recall"),
-            f_score=raw.get("f_score"),
-            accuracy=raw.get("accuracy"),
-            mean_km=raw.get("mean"),
-            median_km=raw.get("median"),
-            acc_at_161=raw.get("acc_at_161"),
-            auc=raw.get("auc"),
-            gold=counts.get("gold", 0),
-            predicted=counts.get("predicted", 0),
-            matched=counts.get("matched", 0),
-            resolved=counts.get("resolved", 0),
-            unresolved_matched=counts.get("unresolved_matched", 0),
+            **{name: raw.get(key) for key, name in REPORT_METRICS.items()},
+            **{name: counts.get(name, 0) for name in REPORT_COUNTS},
             warnings=list(raw.get("warnings", [])),
             geoparser=raw.get("geoparser", ""),
             corpus=raw.get("corpus", ""),

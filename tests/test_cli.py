@@ -64,6 +64,12 @@ class TestIngest:
         assert main(["ingest", "--corpus", str(bad)]) == 2
         assert "data error" in capsys.readouterr().err
 
+    def test_empty_document_id_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"id": "a", "text": "hi"}\n{"id": "", "text": "hi"}\n')
+        assert main(["ingest", "--corpus", str(bad)]) == 2
+        assert "bad.jsonl:2: empty document id" in capsys.readouterr().err
+
 
 class TestGazetteerCommand:
     def test_ingest_and_out_index(self, tmp_path, capsys):
@@ -123,6 +129,26 @@ class TestRunReportCompare:
 
     def test_report_on_non_run_dir(self, tmp_path):
         assert main(["report", "--run-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("command", ["report", "compare"])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "{}",
+            "[1]",
+            '{"corpus": "demo", "ordering_key": "f_score", "rows": [[]]}',
+            '{"corpus": 5, "ordering_key": "f_score", "rows": []}',
+            '{"corpus": "demo", "ordering_key": "f_score", "rows": [{"geoparser": 5, "report": {}}]}',
+        ],
+        ids=["no-rows", "not-an-object", "row-not-an-object", "corpus-number", "geoparser-number"],
+    )
+    def test_malformed_leaderboard_is_data_error_naming_the_file(self, run_setup, tmp_path, capsys, command, content):
+        out = tmp_path / "run-dir"
+        assert main(["run", "--config", str(run_setup), "--out", str(out)]) == 0
+        (out / "leaderboards" / "demo.json").write_text(content, encoding="utf-8")
+        capsys.readouterr()
+        assert main([command, "--run-dir", str(out), "--corpus", "demo"]) == 2
+        assert f"malformed leaderboard {out / 'leaderboards' / 'demo.json'}" in capsys.readouterr().err
 
     def test_malformed_config_is_data_error(self, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -234,8 +260,9 @@ class TestRunReportCompare:
             ({"kind": "builtin-baseline", "parameters": {"extra_stopwords": "abc"}}, "extra_stopwords"),
             ({"kind": "builtin-baseline", "parameters": {"max_ngrams": 3}}, "unknown builtin-baseline parameter"),
             ({"kind": "external-process", "parameters": {"command": ["python3", 5]}}, "parameters.command"),
+            ({"kind": "external-http", "parameters": {"endpoint": "ftp://h/"}}, "parameters.endpoint"),
         ],
-        ids=["max_ngram-string", "flag-string", "stopwords-string", "unknown-key", "command-element"],
+        ids=["max_ngram-string", "flag-string", "stopwords-string", "unknown-key", "command-element", "endpoint-ftp"],
     )
     def test_bad_geoparser_parameter_is_data_error_before_the_gazetteer_loads(
         self, run_setup, tmp_path, capsys, monkeypatch, geoparser, named

@@ -107,6 +107,12 @@ class TestLoad:
         with pytest.raises(CorpusFormatError, match="duplicate document id"):
             load_corpus(path)
 
+    def test_empty_document_id_names_its_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_lines(path, [BERLIN_DOC, dict(BERLIN_DOC, id="")])
+        with pytest.raises(CorpusFormatError, match=r"c\.jsonl:2: empty document id"):
+            load_corpus(path)
+
     def test_spans_sorted_on_load(self, tmp_path):
         path = tmp_path / "c.jsonl"
         record = {

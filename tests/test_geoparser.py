@@ -409,6 +409,9 @@ class TestSpecAndFactory:
             ("external-process", {"command": ["python3"], "timeout": "5"}),
             ("external-http", {"endpoint": 8080}),
             ("external-http", {"endpoint": "http://127.0.0.1:9/", "timeout": 0}),
+            ("external-http", {"endpoint": "ftp://h/"}),
+            ("external-http", {"endpoint": "http://u:p@h/"}),
+            ("external-http", {"endpoint": "http://h:99999"}),
         ],
         ids=repr,
     )
@@ -416,6 +419,13 @@ class TestSpecAndFactory:
         kind, parameters = spec
         with pytest.raises(ValueError):
             GeoparserSpec(kind, "x", parameters)
+
+    @pytest.mark.parametrize("fold", [False, True])
+    def test_a_stopword_blocks_its_name_with_diacritics_folded_or_not(self, fold):
+        gazetteer = Gazetteer.from_entries([GazetteerEntry(1, "Réunion", (), GeoPoint(-21.1, 55.5))], fold)
+        spec = GeoparserSpec("builtin-baseline", "b", {"extra_stopwords": ["Réunion"]})
+        assert parse(spec, Document("d", "Visit Réunion now", ()), gazetteer) == []
+        assert normalize_name("Réunion", fold) in create_geoparser(spec, gazetteer).config.stoplist
 
     def test_process_spec_needs_command(self):
         with pytest.raises(ValueError, match="command"):

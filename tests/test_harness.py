@@ -310,6 +310,23 @@ class TestCache:
         cached = evaluate(BUILTIN, corpus, gazetteer, cache_dir=tmp_path)
         assert cached == fresh
 
+    @pytest.mark.parametrize(
+        "fold, name, unfolded_stopwords_name",
+        [
+            (True, "b__c__908c1776f5af7c14.jsonl", "b__c__0d8d8a85fd96fd1b.jsonl"),  # whose entry predicts Réunion
+            (False, "b__c__1ee3fd2fe4b4ca38.jsonl", "b__c__1ee3fd2fe4b4ca38.jsonl"),  # folding changes nothing here
+        ],
+    )
+    def test_a_stoplist_that_folding_changes_has_a_key_of_its_own(self, tmp_path, fold, name, unfolded_stopwords_name):
+        from geobench import Gazetteer, GazetteerEntry, GeoPoint
+
+        gazetteer = Gazetteer.from_entries([GazetteerEntry(1, "Réunion", (), GeoPoint(-21.1, 55.5))], fold)
+        spec = GeoparserSpec("builtin-baseline", "b", {"extra_stopwords": ["Réunion"]})
+        corpus = Corpus("c", (Document("d", "Visit Réunion now", ()),))
+        assert evaluate(spec, corpus, gazetteer, cache_dir=tmp_path).predicted == 0
+        assert [p.name for p in tmp_path.glob("*.jsonl")] == [name]
+        assert (name != unfolded_stopwords_name) is fold
+
 
 def report_with(identifier, corpus="demo", f_score=None, accuracy=None, **kwargs):
     base = dict(
@@ -436,6 +453,11 @@ class TestRunConfig:
         specs = tuple(GeoparserSpec("builtin-baseline", identifier) for identifier in identifiers)
         with pytest.raises(RunConfigError, match=f"several evaluations would write reports/{shared}$"):
             RunConfig(corpora=sources, gazetteer_path="x", geoparsers=specs)
+
+    @pytest.mark.parametrize("field", [{"fold_diacritics": "no"}, {"parallelism": 1.5}, {"parallelism": True}], ids=repr)
+    def test_scalars_made_in_code_are_checked_as_when_loaded(self, field):
+        with pytest.raises(RunConfigError, match=next(iter(field))):
+            RunConfig(corpora=(CorpusSource("c", "p"),), gazetteer_path="x", geoparsers=(BUILTIN,), **field)
 
     def test_load_from_json_with_manifest(self, tmp_path):
         corpus, gazetteer = smoke_corpus_and_gazetteer(3, name="demo")

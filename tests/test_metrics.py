@@ -532,6 +532,9 @@ class TestMetricsConfig:
             {"threshold_km": 0.0},
             {"d_max_km": 100.0},
             {"earth_radius_km": -1.0},
+            {"threshold_km": True},
+            {"d_max_km": math.inf},
+            {"earth_radius_km": "1"},
         ],
     )
     def test_invariants(self, kwargs):
