@@ -18,7 +18,7 @@ import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import GeoPoint, gc_paused
+from .corpus import GeoPoint, gc_paused, is_json_int
 
 # Zero-based column indices of the GeoNames allCountries.txt layout.
 GEONAMES_COLUMNS = {
@@ -135,13 +135,7 @@ class Gazetteer:
             if not entry.point.is_valid():
                 raise GazetteerError(f"entry {entry.id}: coordinate out of range: {entry.point}")
             by_id[entry.id] = entry
-            for raw_name in entry.names():
-                key = normalize_name(raw_name, fold_diacritics)
-                if not key:
-                    continue
-                postings = index.setdefault(key, [])
-                if not postings or postings[-1] != entry.id:
-                    postings.append(entry.id)
+            _index_names(index, entry.id, (entry.primary_name, *entry.alternate_names), fold_diacritics)
         for postings in index.values():
             postings.sort()
         return cls(by_id, index, fold_diacritics)
@@ -188,12 +182,13 @@ class Gazetteer:
             except UnicodeDecodeError as exc:
                 raise GazetteerError(f"{source}: malformed index rows: {exc}") from None
             # "\n" only: str.splitlines would also break names at U+0085, U+2028 or "\x1c"
-            entries = list(_rows(text.removesuffix("\n").split("\n"), _DIGEST_COLUMNS, stats))
-            if stats.rows_skipped:
+            lines = text.removesuffix("\n").split("\n")
+            # not hashed again: the header's digest was checked against these bytes
+            entries, index, _ = _read_rows(lines, _DIGEST_COLUMNS, self.fold_diacritics, stats, hash_rows=False)
+            if stats.rows_skipped:  # a repeated id too
                 raise GazetteerError(f"{source}: {stats.rows_skipped} malformed index rows {stats.skip_reasons}")
-            built = Gazetteer.from_entries(entries, self.fold_diacritics)
         self._unparsed = None  # the entries replace the body bytes
-        return built.entries, built.index
+        return entries, index
 
     def _resolve_names(self, primary_only: bool) -> dict[str, GazetteerEntry]:
         entries = self.entries
@@ -225,7 +220,14 @@ class Gazetteer:
         return len(self.entries)
 
     def digest(self) -> str:
-        """Content digest over all entries and the fold flag (memoized)."""
+        """Content digest over all entries, in id order, and the fold flag (memoized).
+
+        `ingest_gazetteer` hashes the rows in its row pass when their ids
+        ascend, and `load_index` takes the digest from the index header, so
+        only a gazetteer built from entries, or from a table whose ids do
+        not ascend, renders its entries here. The digest is the same either
+        way.
+        """
         if self._digest is None:
             h = _digest_hasher(self.fold_diacritics)
             entries = self.entries
@@ -267,6 +269,7 @@ def lookup(gazetteer: Gazetteer, name: str) -> list[GazetteerEntry]:
 
 
 def _check_schema(schema) -> dict:
+    """The column map of a schema: "geonames", or a map from GEONAMES_COLUMNS keys to JSON integers >= 0."""
     if schema == "geonames":
         return GEONAMES_COLUMNS
     if not isinstance(schema, dict):
@@ -275,16 +278,44 @@ def _check_schema(schema) -> dict:
         if key not in schema:
             raise GazetteerError(f"column map missing required key {key!r}")
     for key, col in schema.items():
-        if not isinstance(col, int) or col < 0:
+        if key not in GEONAMES_COLUMNS:
+            raise GazetteerError(f"column map has unknown key {key!r}; the keys are {', '.join(GEONAMES_COLUMNS)}")
+        if not is_json_int(col) or col < 0:
             raise GazetteerError(f"column map entry {key!r} must be a non-negative integer, got {col!r}")
     return schema
 
 
-def _rows(lines, cols: dict, stats: IngestStats):
-    """Parse tab-separated place rows, yielding one GazetteerEntry per valid row.
+def _index_names(index: dict[str, list[int]], entry_id: int, names: tuple[str, ...], fold_diacritics: bool) -> None:
+    """Add an entry's id to the posting list of each of its normalized names (the one indexing rule).
 
-    Invalid rows are skipped and tallied in `stats`; duplicate ids are left
-    to the caller.
+    A posting list stays in ascending id order while entries come in
+    ascending id order; otherwise the caller sorts it afterwards.
+    """
+    for name in names:
+        key = " ".join(name.split()).casefold()  # normalize_name, inlined: this runs for every name of every row
+        if fold_diacritics:
+            key = normalize_name(key, True)
+        if key:
+            postings = index.get(key)
+            if postings is None:
+                index[key] = [entry_id]
+            elif postings[-1] != entry_id:
+                postings.append(entry_id)
+
+
+# Digest rows are hashed in joined chunks of this many, not one call per row and not all at once.
+_DIGEST_CHUNK_ROWS = 1024
+
+
+def _read_rows(lines, cols: dict, fold_diacritics: bool, stats: IngestStats, hash_rows: bool = True):
+    """The one reader of tab-separated place rows: returns (entries by id, name index, digest or None).
+
+    In one pass over the lines, each row is parsed and validated, a row
+    repeating an earlier id is skipped, and the entry is added to the name
+    index. Invalid and repeated rows are tallied in `stats`. With
+    `hash_rows`, each entry's digest row is hashed as it comes while the ids
+    ascend, and the digest equals `Gazetteer.digest()`; at the first id
+    lower than the one before, hashing stops and the digest is None.
     """
     id_c, name_c = cols["id"], cols["name"]
     lat_c, lon_c = cols["lat"], cols["lon"]
@@ -293,13 +324,23 @@ def _rows(lines, cols: dict, stats: IngestStats):
     fcl_c = cols.get("feature_class")
     fco_c = cols.get("feature_code")
     cty_c = cols.get("country")
-    max_col = max(c for c in cols.values())
+    max_col = max(cols.values())
+    split_at = max_col + 1  # columns past the last one read stay in one unsplit tail
+    intern = sys.intern
+    entries: dict[int, GazetteerEntry] = {}
+    index: dict[str, list[int]] = {}
+    hasher = _digest_hasher(fold_diacritics) if hash_rows else None
+    chunk: list[GazetteerEntry] = []
+    ascending = True
+    last_id = -math.inf
     for line in lines:
         stats.rows_read += 1
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) <= max_col:
-            stats.skip("short row")
-            continue
+        parts = line.split("\t", split_at)
+        if len(parts) <= split_at:
+            if len(parts) <= max_col:
+                stats.skip("short row")
+                continue
+            parts[max_col] = parts[max_col].rstrip("\n")  # the last column read ends the line
         try:
             entry_id = int(parts[id_c])
         except ValueError:
@@ -315,7 +356,7 @@ def _rows(lines, cols: dict, stats: IngestStats):
         except ValueError:
             stats.skip("bad coordinate")
             continue
-        if not (math.isfinite(lat) and math.isfinite(lon) and -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):  # NaN fails every comparison
             stats.skip("coordinate out of range")
             continue
         population = 0
@@ -328,26 +369,47 @@ def _rows(lines, cols: dict, stats: IngestStats):
             if population < 0:
                 stats.skip("bad population")
                 continue
+        if entry_id in entries:
+            stats.skip("duplicate id")
+            continue
         alternates = ()
         if alt_c is not None and parts[alt_c]:
             alternates = tuple(a.strip() for a in parts[alt_c].split(",") if a.strip())
-        yield GazetteerEntry(
-            id=entry_id,
-            primary_name=name,
-            alternate_names=alternates,
-            point=GeoPoint(lat, lon),
+        # positional: passed as keywords, these arguments made the call about 1.5 times as slow
+        entry = entries[entry_id] = GazetteerEntry(
+            entry_id,
+            name,
+            alternates,
+            GeoPoint(lat, lon),
             # few distinct values over many rows: one shared string each
-            feature_class=sys.intern(parts[fcl_c].strip()) if fcl_c is not None else "",
-            feature_code=sys.intern(parts[fco_c].strip()) if fco_c is not None else "",
-            population=population,
-            country=sys.intern(parts[cty_c].strip()) if cty_c is not None else "",
+            intern(parts[fcl_c].strip()) if fcl_c is not None else "",
+            intern(parts[fco_c].strip()) if fco_c is not None else "",
+            population,
+            intern(parts[cty_c].strip()) if cty_c is not None else "",
         )
+        _index_names(index, entry_id, (name, *alternates), fold_diacritics)
+        if entry_id < last_id:
+            ascending = False
+            hasher = None
+        last_id = entry_id
+        if hasher is not None:
+            chunk.append(entry)
+            if len(chunk) == _DIGEST_CHUNK_ROWS:
+                hasher.update("".join(map(_digest_row, chunk)).encode("utf-8"))
+                chunk.clear()
+    if not ascending:
+        for postings in index.values():
+            postings.sort()
+    if hasher is None:
+        return entries, index, None
+    hasher.update("".join(map(_digest_row, chunk)).encode("utf-8"))
+    return entries, index, hasher.hexdigest()
 
 
 def ingest_gazetteer(
     path: str | Path, schema="geonames", fold_diacritics: bool = False
 ) -> tuple[Gazetteer, IngestStats]:
-    """Ingest a tab-separated place table.
+    """Ingest a tab-separated place table in one pass over its rows.
 
     `schema` is "geonames" for the 19-column GeoNames layout or a dict of
     zero-based column indices with at least id/name/lat/lon (optional:
@@ -355,26 +417,26 @@ def ingest_gazetteer(
     violating field constraints, and later rows repeating an id, are
     skipped and tallied in the returned IngestStats, not fatal; an
     unreadable file or zero valid rows is.
+
+    The same pass builds the entries and the name index and, while the ids
+    ascend, hashes the rows, so the returned gazetteer already knows its
+    `digest()`. A table whose ids do not ascend gets the same digest,
+    computed on first use.
     """
     cols = _check_schema(schema)
     stats = IngestStats()
-    entries: list[GazetteerEntry] = []
-    seen_ids: set[int] = set()
     try:
         fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise GazetteerError(f"cannot read gazetteer file {path}: {exc}") from exc
     with fh, gc_paused():
-        for entry in _rows(fh, cols, stats):
-            if entry.id in seen_ids:
-                stats.skip("duplicate id")
-                continue
-            seen_ids.add(entry.id)
-            entries.append(entry)
-        stats.rows_ingested = len(entries)
-        if not entries:
-            raise GazetteerError(f"no valid rows in gazetteer file {path}")
-        return Gazetteer.from_entries(entries, fold_diacritics), stats
+        entries, index, digest = _read_rows(fh, cols, fold_diacritics, stats)
+    stats.rows_ingested = len(entries)
+    if not entries:
+        raise GazetteerError(f"no valid rows in gazetteer file {path}")
+    gazetteer = Gazetteer(entries, index, fold_diacritics)
+    gazetteer._digest = digest
+    return gazetteer, stats
 
 
 # A saved index is this JSON header line, which also holds the fold flag and
@@ -391,14 +453,14 @@ def save_index(gazetteer: Gazetteer, path: str | Path) -> None:
     back equal to itself (say, a name with a tab or an alternate name with
     a comma).
     """
-    stats = IngestStats()
-    rows = []  # all checked before the file is opened, so a refused entry leaves no partial index
-    for entry_id in sorted(gazetteer.entries):
-        entry = gazetteer.entries[entry_id]
-        row = _digest_row(entry)
-        if row.count("\n") != 1 or list(_rows([row], _DIGEST_COLUMNS, stats)) != [entry]:
+    entries = gazetteer.entries
+    ids = sorted(entries)
+    rows = [_digest_row(entries[entry_id]) for entry_id in ids]
+    # all checked before the file is opened, so a refused entry leaves no partial index
+    reread, _, _ = _read_rows(rows, _DIGEST_COLUMNS, gazetteer.fold_diacritics, IngestStats(), hash_rows=False)
+    for entry_id, row in zip(ids, rows):
+        if row.count("\n") != 1 or reread.get(entry_id) != entries[entry_id]:
             raise GazetteerError(f"entry {entry_id} cannot be saved: its fields do not survive an index row")
-        rows.append(row)
     body = "".join(rows).encode("utf-8")
     h = _digest_hasher(gazetteer.fold_diacritics)
     h.update(body)

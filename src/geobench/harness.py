@@ -30,10 +30,11 @@ from .corpus import (
     document_to_json_line,
     gc_paused,
     is_json_int,
+    is_json_number,
     load_corpus,
     load_manifest,
 )
-from .gazetteer import Gazetteer, ingest_gazetteer, load_index
+from .gazetteer import Gazetteer, GazetteerError, _check_schema, ingest_gazetteer, load_index
 from .geoparser import GeoparserSpec, PredictedToponym, RecognizerConfig, create_geoparser
 from .metrics import REPORT_METRICS, EvalReport, MetricsConfig, align, build_report, distance_errors, warn_missing_gold
 
@@ -94,6 +95,11 @@ class RunConfig:
                 f"corpus names and geoparser identifiers must give distinct file names; several evaluations would "
                 f"write reports/{shared[0]}"
             )
+        if self.gazetteer_schema != "index":
+            try:
+                _check_schema(self.gazetteer_schema)
+            except GazetteerError as exc:
+                raise RunConfigError(f"gazetteer schema: {exc}") from None
         if not isinstance(self.fold_diacritics, bool):
             raise RunConfigError(f"gazetteer fold_diacritics must be true or false, got {self.fold_diacritics!r}")
         if not is_json_int(self.parallelism) or self.parallelism < 1:
@@ -672,6 +678,11 @@ def load_leaderboards(run_dir: str | Path) -> dict[str, Leaderboard]:
             board = leaderboard_from_dict(json.loads(path.read_bytes()))
             if not all(isinstance(name, str) for name in (board.corpus, *(row[0] for row in board.rows))):
                 raise TypeError("a corpus name or geoparser id is not a string")
+            for identifier, report in board.rows:
+                for key, name in REPORT_METRICS.items():
+                    value = getattr(report, name)
+                    if value is not None and not is_json_number(value):
+                        raise TypeError(f"geoparser {identifier!r}: {key} must be a number or null, got {value!r}")
         except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
             raise RunConfigError(f"malformed leaderboard {path}: {exc!r}") from None
         boards[board.corpus] = board

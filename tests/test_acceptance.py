@@ -343,14 +343,15 @@ def generate_big_table(path, total_rows=1_000_000):
 
 
 def test_million_row_gazetteer_scale(tmp_path):
-    with criterion("scale: 1M-row ingest < 60 s, 10k lookups < 1 s, linear-scan oracle on 500 names"):
+    with criterion("scale: 1M-row ingest and digest < 60 s, 10k lookups < 1 s, linear-scan oracle on 500 names"):
         table = tmp_path / "big.tsv"
         expected_valid = generate_big_table(table)
 
         started = time.perf_counter()
         gazetteer, stats = ingest_gazetteer(table)
+        gazetteer.digest()  # the cache key: part of what a cold run pays before its first evaluation
         ingest_seconds = time.perf_counter() - started
-        assert ingest_seconds < 60.0, f"ingest took {ingest_seconds:.1f}s"
+        assert ingest_seconds < 60.0, f"ingest and digest took {ingest_seconds:.1f}s"
         assert len(gazetteer) == expected_valid
         assert stats.rows_read == 1_000_000
         assert stats.rows_skipped == 1_000_000 - expected_valid

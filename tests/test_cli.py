@@ -150,6 +150,38 @@ class TestRunReportCompare:
         assert main([command, "--run-dir", str(out), "--corpus", "demo"]) == 2
         assert f"malformed leaderboard {out / 'leaderboards' / 'demo.json'}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["report", "compare"])
+    def test_leaderboard_metric_not_a_number_is_data_error_naming_file_and_field(self, run_setup, tmp_path, capsys, command):
+        out = tmp_path / "run-dir"
+        assert main(["run", "--config", str(run_setup), "--out", str(out)]) == 0
+        board_path = out / "leaderboards" / "demo.json"
+        board = json.loads(board_path.read_text(encoding="utf-8"))
+        board["rows"][0]["report"]["f_score"] = "abc"
+        board_path.write_text(json.dumps(board), encoding="utf-8")
+        capsys.readouterr()
+        assert main([command, "--run-dir", str(out), "--corpus", "demo"]) == 2
+        err = capsys.readouterr().err
+        assert f"malformed leaderboard {board_path}" in err
+        assert "f_score must be a number or null, got 'abc'" in err
+
+    @pytest.mark.parametrize(
+        "schema", [{"id": False, "name": True, "lat": 4, "lon": 5}, {"id": 0, "name": 1, "lat": 4, "lon": 5, "populaton": 14}],
+        ids=["bools", "unknown-key"],
+    )
+    def test_bad_column_map_exits_before_any_ingest(self, run_setup, tmp_path, capsys, monkeypatch, schema):
+        (tmp_path / "gaz.tsv").write_text(geonames_row(1, "Paris", 48.85, 2.35) + "\n", encoding="utf-8")
+        raw = json.loads(run_setup.read_text(encoding="utf-8"))
+        raw["gazetteer"] = {"path": "gaz.tsv", "schema": schema}
+        run_setup.write_text(json.dumps(raw), encoding="utf-8")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the gazetteer was ingested")
+
+        monkeypatch.setattr(geobench.harness, "ingest_gazetteer", refuse)
+        assert main(["run", "--config", str(run_setup), "--out", str(tmp_path / "o")]) == 2
+        assert "gazetteer schema: column map" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_malformed_config_is_data_error(self, tmp_path, capsys):
         config = tmp_path / "run.json"
         config.write_text("{]", encoding="utf-8")

@@ -1,5 +1,7 @@
 import gc
+import json
 import random
+import re
 import sys
 import threading
 import time
@@ -19,6 +21,8 @@ from geobench import (
     save_index,
 )
 from geobench import gazetteer as gazetteer_module
+from geobench.geoparser import GeoparserSpec
+from geobench.harness import _cache_path
 from helpers import geonames_row
 
 
@@ -131,9 +135,31 @@ class TestIngest:
         assert stats.rows_ingested == 2
         assert gazetteer.lookup("lima")[0].population == 100
 
+    def test_last_column_read_ends_the_line(self, tmp_path):
+        path = tmp_path / "places.tsv"
+        path.write_text("9\tLima\t-12.05\t-77.04\t\n11\tCusco\t-13.53\t-71.97\t50\n", encoding="utf-8")
+        schema = {"id": 0, "name": 1, "lat": 2, "lon": 3, "population": 4}
+        gazetteer, stats = ingest_gazetteer(path, schema)
+        assert stats.rows_skipped == 0
+        assert [gazetteer.entries[i].population for i in (9, 11)] == [0, 50]
+
     def test_schema_missing_key_rejected(self, tmp_path):
         with pytest.raises(GazetteerError, match="missing required key"):
             ingest_gazetteer(three_row_fixture(tmp_path), {"name": 0, "lat": 1, "lon": 2})
+
+    @pytest.mark.parametrize(
+        "schema, message",
+        [
+            ({"id": False, "name": True, "lat": 4, "lon": 5}, "entry 'id' must be a non-negative integer, got False"),
+            ({"id": 0, "name": 1, "lat": 4.0, "lon": 5}, "entry 'lat' must be a non-negative integer, got 4.0"),
+            ({"id": 0, "name": 1, "lat": 4, "lon": -5}, "entry 'lon' must be a non-negative integer, got -5"),
+            ({"id": 0, "name": 1, "lat": 4, "lon": 5, "populaton": 14}, "unknown key 'populaton'"),
+        ],
+        ids=["bools", "float", "negative", "unknown-key"],
+    )
+    def test_schema_refused(self, tmp_path, schema, message):
+        with pytest.raises(GazetteerError, match=re.escape(message)):
+            ingest_gazetteer(three_row_fixture(tmp_path), schema)
 
     def test_zero_valid_rows(self, tmp_path):
         path = tmp_path / "gaz.tsv"
@@ -152,6 +178,102 @@ class TestIngest:
         folded, _ = ingest_gazetteer(path, fold_diacritics=True)
         assert plain.lookup("sao paulo") == []
         assert [e.id for e in folded.lookup("sao paulo")] == [1]
+
+
+def keyed_rows(ascending: bool) -> list[str]:
+    """Eleven rows: four valid ones, one per skip reason, a repeated id, and alternates padded with spaces.
+
+    With `ascending`, the valid rows come in id order (the repeated id still
+    comes after a higher one); otherwise they do not.
+    """
+    zurich = geonames_row(30, "Zürich", 47.3769, 8.5417, 402762, " Zuerich , Zurich ,, ", country="CH")
+    sao_paulo = geonames_row(10, "São Paulo", -23.5505, -46.6333, 12325232, "Sao Paulo,  Sampa", country="BR")
+    paris = geonames_row(20, "Paris", 48.8566, 2.3522, 2138551, "  Paname ", feature_code="PPLC", country="FR")
+    osaka = geonames_row(5, "Ōsaka", 34.6937, 135.5023, 2691185, " Osaka ", "A", "ADM2", "JP")
+    skipped = [
+        "short\trow",
+        geonames_row(99, "BadId", 1.0, 1.0).replace("99", "9x9", 1),
+        geonames_row(40, "", 2.0, 2.0),
+        geonames_row(41, "BadLat", 3.0, 3.0).replace("3.0", "abc", 1),
+        geonames_row(42, "Nowhere", 91.0, 0.0),
+        geonames_row(43, "BadPop", 4.0, 4.0, population=7).replace("\t7", "\tx"),
+    ]
+    repeated = geonames_row(10, "Duplicate", 5.0, 5.0)
+    if ascending:
+        return [osaka, sao_paulo, *skipped, paris, zurich, repeated]
+    return [zurich, sao_paulo, skipped[0], paris, *skipped[1:], repeated, osaka]
+
+
+def write_rows(path, rows):
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return path
+
+
+# Computed from keyed_rows(False) before the ingest hashed rows in its own pass. The builtin's prediction-cache
+# file names hash the digest, so these values must never change.
+KEYED_DIGESTS = {
+    False: "5f8fc0cda02327e9e32f67220da96f9f550502e458d265950d9a579ba1e22e91",
+    True: "efcbac066285383248058d3cc517f6570ca7930223ad3383841859bf5471036e",
+}
+KEYED_CACHE_NAMES = {
+    False: ["builtin__fixture__c3dd5dd24d56c072.jsonl", "builtin-stop__fixture__8a5535b19d031664.jsonl"],
+    True: ["builtin__fixture__9f761b1905bbdf3d.jsonl", "builtin-stop__fixture__89ec464ba1920db6.jsonl"],
+}
+
+
+class TestDigest:
+    @pytest.mark.parametrize("ascending", [False, True], ids=["unsorted", "ascending"])
+    @pytest.mark.parametrize("fold", [False, True], ids=["plain", "folded"])
+    def test_pinned_digest_and_cache_names(self, tmp_path, fold, ascending):
+        gazetteer, stats = ingest_gazetteer(write_rows(tmp_path / "gaz.tsv", keyed_rows(ascending)), fold_diacritics=fold)
+        assert sorted(gazetteer.entries) == [5, 10, 20, 30]
+        assert stats.skip_reasons == {
+            "short row": 1,
+            "bad id": 1,
+            "empty name": 1,
+            "bad coordinate": 1,
+            "coordinate out of range": 1,
+            "bad population": 1,
+            "duplicate id": 1,
+        }
+        assert gazetteer.entries[30].alternate_names == ("Zuerich", "Zurich")
+        assert gazetteer.digest() == KEYED_DIGESTS[fold]
+        specs = [
+            GeoparserSpec("builtin-baseline", "builtin"),
+            GeoparserSpec("builtin-baseline", "builtin-stop", {"extra_stopwords": ["Zürich"]}),
+        ]
+        names = [_cache_path(tmp_path, spec, "fixture", "0" * 64, gazetteer).name for spec in specs]
+        assert names == KEYED_CACHE_NAMES[fold]
+
+    @pytest.mark.parametrize("ascending", [False, True], ids=["unsorted", "ascending"])
+    @pytest.mark.parametrize("fold", [False, True], ids=["plain", "folded"])
+    def test_ingested_rendered_and_saved_digests_agree(self, tmp_path, fold, ascending):
+        tsv = write_rows(tmp_path / "gaz.tsv", keyed_rows(ascending))
+        ingested, _ = ingest_gazetteer(tsv, fold_diacritics=fold)
+        rendered = Gazetteer.from_entries(ingested.entries.values(), fold)
+        save_index(ingested, tmp_path / "gaz.index")
+        header = json.loads((tmp_path / "gaz.index").read_bytes().split(b"\n", 1)[0])
+        assert ingested.digest() == rendered.digest() == header["digest"] == load_index(tmp_path / "gaz.index").digest()
+        assert ingested.index == rendered.index
+
+    @pytest.mark.parametrize("ascending, rendered_ids", [(True, []), (False, [5, 10, 20, 30])], ids=["ascending", "unsorted"])
+    def test_digest_renders_rows_only_when_ids_do_not_ascend(self, tmp_path, monkeypatch, ascending, rendered_ids):
+        gazetteer, _ = ingest_gazetteer(write_rows(tmp_path / "gaz.tsv", keyed_rows(ascending)))
+        rendered = []
+        real_row = gazetteer_module._digest_row
+
+        def counting_row(entry):
+            rendered.append(entry.id)
+            return real_row(entry)
+
+        monkeypatch.setattr(gazetteer_module, "_digest_row", counting_row)
+        assert gazetteer.digest() == KEYED_DIGESTS[False]
+        assert rendered == rendered_ids
+
+    def test_unsorted_ingest_keeps_posting_lists_ascending(self, tmp_path):
+        rows = [geonames_row(i, "Springfield", 1.0, 1.0, alternates="Shelbyville") for i in (9, 3, 7, 1)]
+        gazetteer, _ = ingest_gazetteer(write_rows(tmp_path / "gaz.tsv", rows))
+        assert gazetteer.index == {"springfield": [1, 3, 7, 9], "shelbyville": [1, 3, 7, 9]}
 
 
 class TestLookup:
@@ -303,6 +425,18 @@ class TestIndexFile:
         with pytest.raises(GazetteerError, match="malformed index rows"):
             load_index(path)
 
+    def test_index_body_repeating_an_id_is_refused_when_parsed(self, tmp_path):
+        rows = [GazetteerEntry(1, "A", (), GeoPoint(0, 0)), GazetteerEntry(1, "B", (), GeoPoint(1, 1))]
+        body = "".join(gazetteer_module._digest_row(e) for e in rows).encode("utf-8")
+        h = gazetteer_module._digest_hasher(False)
+        h.update(body)
+        header = {**gazetteer_module._INDEX_HEADER, "fold_diacritics": False, "digest": h.hexdigest()}
+        path = tmp_path / "gaz.index"
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+        loaded = load_index(path)
+        with pytest.raises(GazetteerError, match="1 malformed index rows {'duplicate id': 1}"):
+            loaded.entries
+
     def test_load_rejects_altered_body(self, tmp_path):
         path = tmp_path / "gaz.index"
         entries = [GazetteerEntry(1, "Alpha", (), GeoPoint(12.5, 3.25)), GazetteerEntry(2, "Beta", (), GeoPoint(-45.75, 100.0))]
@@ -342,10 +476,10 @@ class TestIndexFile:
         ingested, _ = ingest_gazetteer(tsv)
         save_index(ingested, tmp_path / "gaz.index")
 
-        def refuse(*args):
+        def refuse(*args, **kwargs):
             raise AssertionError("row parsed while loading")
 
-        monkeypatch.setattr(gazetteer_module, "_rows", refuse)
+        monkeypatch.setattr(gazetteer_module, "_read_rows", refuse)
         loaded = load_index(tmp_path / "gaz.index")
         assert loaded.digest() == ingested.digest()
 
@@ -355,13 +489,13 @@ class TestIndexFile:
         save_index(built, path)
         loaded = load_index(path)
         parses = []
-        real_rows = gazetteer_module._rows
+        real_rows = gazetteer_module._read_rows
 
-        def counting_rows(*args):
+        def counting_rows(*args, **kwargs):
             parses.append(1)
-            return real_rows(*args)
+            return real_rows(*args, **kwargs)
 
-        monkeypatch.setattr(gazetteer_module, "_rows", counting_rows)
+        monkeypatch.setattr(gazetteer_module, "_read_rows", counting_rows)
         name = entries[7].primary_name
         touches = [loaded.lexicon, lambda: loaded.entries, lambda: loaded.lookup(name)]
         expected = [built.lexicon(), built.entries, built.lookup(name)]

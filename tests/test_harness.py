@@ -459,6 +459,20 @@ class TestRunConfig:
         with pytest.raises(RunConfigError, match=next(iter(field))):
             RunConfig(corpora=(CorpusSource("c", "p"),), gazetteer_path="x", geoparsers=(BUILTIN,), **field)
 
+    @pytest.mark.parametrize(
+        "schema",
+        [{"id": 0, "name": 1, "lat": True, "lon": 5}, {"id": 0, "name": 1, "lat": 4, "lon": 5, "country ": 8}, "tsv"],
+        ids=["bool", "unknown-key", "unknown-name"],
+    )
+    def test_gazetteer_schema_checked_in_code(self, schema):
+        with pytest.raises(RunConfigError, match="gazetteer schema"):
+            RunConfig(corpora=(CorpusSource("c", "p"),), gazetteer_path="x", gazetteer_schema=schema, geoparsers=(BUILTIN,))
+
+    @pytest.mark.parametrize("schema", ["geonames", "index", {"id": 4, "name": 0, "lat": 1, "lon": 2}])
+    def test_gazetteer_schema_accepted(self, schema):
+        config = RunConfig(corpora=(CorpusSource("c", "p"),), gazetteer_path="x", gazetteer_schema=schema, geoparsers=(BUILTIN,))
+        assert config.gazetteer_schema == schema
+
     def test_load_from_json_with_manifest(self, tmp_path):
         corpus, gazetteer = smoke_corpus_and_gazetteer(3, name="demo")
         corpus_path, manifest_path = write_corpus_files(corpus, tmp_path)
@@ -933,7 +947,7 @@ class TestRunBenchmark:
             raise AssertionError("a cached evaluation parsed documents or gazetteer rows")
 
         monkeypatch.setattr(harness_module, "_parse_all", refuse)
-        monkeypatch.setattr(gazetteer_module, "_rows", refuse)
+        monkeypatch.setattr(gazetteer_module, "_read_rows", refuse)
         cached = RunConfig(
             corpora=primed.corpora,
             gazetteer_path=str(tmp_path / "gaz.index"),
