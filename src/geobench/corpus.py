@@ -1,4 +1,4 @@
-"""Annotated corpus loading, validation, and transforms.
+"""Annotated corpus loading, checking, and transforms.
 
 A corpus is stored as UTF-8 JSON lines, one document per line:
 
@@ -93,65 +93,31 @@ class CorpusStats:
     toponyms_with_coordinates: int
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
-    """One invariant violation found by validate_corpus."""
+def _document_error(doc: Document, seen_ids: set[str]) -> str | None:
+    """The first rule one document breaks, or None; its id is then added to the ids of the documents before it.
 
-    document_id: str
-    message: str
-    start: int | None = None
-    end: int | None = None
-
-
-def _document_violations(doc: Document, seen_ids: set[str]) -> list[Violation]:
-    """The violations of one document, whose id is then added to the ids of the documents before it."""
-    out = []
+    The gold must be sorted by (start, end), as load_corpus sorts it, so that a duplicate span follows its twin.
+    """
     if not doc.id:
-        out.append(Violation(doc.id, "empty document id"))
+        return "empty document id"
     if doc.id in seen_ids:
-        out.append(Violation(doc.id, "duplicate document id"))
+        return "duplicate document id"
     seen_ids.add(doc.id)
-    seen_spans = set()
     prev_key = None
     for top in doc.gold:
         key = (top.start, top.end)
         if not (0 <= top.start < top.end <= len(doc.text)):
-            out.append(Violation(doc.id, f"span {key} out of bounds for text of length {len(doc.text)}", *key))
-        elif doc.text[top.start : top.end] != top.name:
-            out.append(
-                Violation(
-                    doc.id,
-                    f"span {key} surface form mismatch: annotated {top.name!r}, "
-                    f"text has {doc.text[top.start:top.end]!r}",
-                    *key,
-                )
-            )
-        if key in seen_spans:
-            out.append(Violation(doc.id, f"duplicate span {key}", *key))
-        seen_spans.add(key)
-        if prev_key is not None and key < prev_key:
-            out.append(Violation(doc.id, f"spans not sorted ascending at {key}", *key))
+            return f"span {key} out of bounds for text of length {len(doc.text)}"
+        if doc.text[top.start : top.end] != top.name:
+            return f"span {key} surface form mismatch: annotated {top.name!r}, text has {doc.text[top.start:top.end]!r}"
+        if key == prev_key:
+            return f"duplicate span {key}"
         prev_key = key
         if top.point is not None and not top.point.is_valid():
-            out.append(Violation(doc.id, f"coordinate out of range at span {key}: {top.point}", *key))
+            return f"coordinate out of range at span {key}: {top.point}"
         if top.kind is not None and top.kind not in TOPONYM_KINDS:
-            out.append(Violation(doc.id, f"unknown toponym kind {top.kind!r} at span {key}", *key))
-    return out
-
-
-def validate_corpus(corpus: Corpus) -> list[Violation]:
-    """Return every invariant violation in the corpus; empty means valid.
-
-    Violations are data, not errors: the corpus is left untouched and all
-    problems are reported, each naming the offending document id.
-    """
-    out = []
-    if corpus.completeness not in COMPLETENESS_VALUES:
-        out.append(Violation("", f"completeness must be one of {COMPLETENESS_VALUES}, got {corpus.completeness!r}"))
-    seen_ids = set()
-    for doc in corpus.documents:
-        out.extend(_document_violations(doc, seen_ids))
-    return out
+            return f"unknown toponym kind {top.kind!r} at span {key}"
+    return None
 
 
 def is_json_int(value) -> bool:
@@ -263,9 +229,9 @@ def load_corpus(
             except CorpusFormatError as exc:
                 raise CorpusFormatError(f"{path}:{lineno}: {exc}") from None
             doc = Document(id=doc_id, text=text, gold=tuple(gold), source=corpus_name)
-            bad = _document_violations(doc, seen_ids)
-            if bad:
-                raise CorpusFormatError(f"{path}:{lineno}: {bad[0].message} (document {doc_id!r})")
+            error = _document_error(doc, seen_ids)
+            if error:
+                raise CorpusFormatError(f"{path}:{lineno}: {error} (document {doc_id!r})")
             documents.append(doc)
     return Corpus(name=corpus_name, documents=tuple(documents), completeness=completeness)
 
@@ -314,12 +280,6 @@ def load_manifest(path: str | Path) -> dict:
     if raw.get("completeness") not in COMPLETENESS_VALUES:
         raise CorpusFormatError(f"manifest {path}: completeness must be one of {COMPLETENESS_VALUES}")
     return {"name": raw["name"], "completeness": raw["completeness"]}
-
-
-def save_manifest(corpus: Corpus, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"name": corpus.name, "completeness": corpus.completeness}, fh, sort_keys=True)
-        fh.write("\n")
 
 
 def corpus_stats(corpus: Corpus) -> CorpusStats:

@@ -264,10 +264,6 @@ _DIGEST_COLUMNS = {
 }
 
 
-def lookup(gazetteer: Gazetteer, name: str) -> list[GazetteerEntry]:
-    return gazetteer.lookup(name)
-
-
 def _check_schema(schema) -> dict:
     """The column map of a schema: "geonames", or a map from GEONAMES_COLUMNS keys to JSON integers >= 0."""
     if schema == "geonames":

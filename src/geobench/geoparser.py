@@ -303,13 +303,3 @@ def create_geoparser(spec: GeoparserSpec, gazetteer: Gazetteer | None = None):
     if spec.kind == "external-process":
         return adapters.ProcessGeoparser(list(params["command"]), timeout=timeout)
     return adapters.HttpGeoparser(params["endpoint"], timeout=timeout)
-
-
-def parse(spec: GeoparserSpec, document: Document, gazetteer: Gazetteer | None = None) -> list[PredictedToponym]:
-    """One-shot parse of a single document per the given spec."""
-    parser = create_geoparser(spec, gazetteer)
-    try:
-        predictions, _ = parser.parse_document(document)
-        return predictions
-    finally:
-        parser.close()

@@ -36,7 +36,16 @@ from .corpus import (
 )
 from .gazetteer import Gazetteer, GazetteerError, _check_schema, ingest_gazetteer, load_index
 from .geoparser import GeoparserSpec, PredictedToponym, RecognizerConfig, create_geoparser
-from .metrics import REPORT_METRICS, EvalReport, MetricsConfig, align, build_report, distance_errors, warn_missing_gold
+from .metrics import (
+    REPORT_METRICS,
+    SCORING_VERSION,
+    EvalReport,
+    MetricsConfig,
+    align,
+    build_report,
+    distance_errors,
+    warn_missing_gold,
+)
 
 # Text/CSV column order for rendered leaderboards.
 METRIC_COLUMNS = ("precision", "recall", "f_score", "accuracy", "mean", "median", "auc", "acc_at_161")
@@ -233,8 +242,9 @@ def _cache_path(
 
 
 def _score_path(prediction_path: Path, config: MetricsConfig, completeness: str) -> Path:
-    # a report depends on its predictions, the metrics config and (through precision) the corpus completeness
-    key = json.dumps([prediction_path.name, config.to_dict(), completeness], sort_keys=True)
+    # a report depends on the scoring code, its predictions, the metrics config and (through precision) the corpus
+    # completeness
+    key = json.dumps([SCORING_VERSION, prediction_path.name, config.to_dict(), completeness], sort_keys=True)
     return prediction_path.parent / "scores" / hashlib.sha256(key.encode()).hexdigest()
 
 
@@ -271,17 +281,8 @@ def _prediction_to_wire(p: PredictedToponym) -> dict:
     return out
 
 
-def cache_predictions(
-    spec: GeoparserSpec,
-    corpus: Corpus,
-    predictions: dict[str, list[PredictedToponym]],
-    cache_dir: str | Path,
-    gazetteer: Gazetteer | None = None,
-    *,
-    path: Path | None = None,
-) -> Path:
-    """Store per-document predictions in adapter-response format, atomically (at `path` if given)."""
-    path = path or _cache_path(cache_dir, spec, corpus.name, corpus_digest(corpus), gazetteer)
+def cache_predictions(corpus: Corpus, predictions: dict[str, list[PredictedToponym]], path: Path) -> None:
+    """Store per-document predictions at `path` (a _cache_path) in adapter-response format, atomically."""
     lines = (
         json.dumps(
             {"id": doc.id, "toponyms": [_prediction_to_wire(p) for p in predictions[doc.id]]},
@@ -292,7 +293,6 @@ def cache_predictions(
         for doc in corpus.documents
     )
     _write_atomically(path, lines)
-    return path
 
 
 def _write_atomically(path: Path, lines) -> None:
@@ -309,15 +309,8 @@ def _write_atomically(path: Path, lines) -> None:
         raise
 
 
-def load_cached(
-    spec: GeoparserSpec,
-    corpus: Corpus,
-    cache_dir: str | Path,
-    gazetteer: Gazetteer | None = None,
-    *,
-    path: Path | None = None,
-) -> dict[str, list[PredictedToponym]] | None:
-    """Reload cached predictions (from `path` if given), or None on a miss or a corrupt entry.
+def load_cached(corpus: Corpus, path: Path) -> dict[str, list[PredictedToponym]] | None:
+    """Reload the predictions cached at `path` (a _cache_path), or None on a miss or a corrupt entry.
 
     The file holds one adapter response per document, in corpus order, and
     is read through the adapters' decoder, with the cyclic GC held off. A
@@ -325,7 +318,6 @@ def load_cached(
     prediction, makes the entry corrupt: that is logged and the predictions
     are recomputed.
     """
-    path = path or _cache_path(cache_dir, spec, corpus.name, corpus_digest(corpus), gazetteer)
     if not path.exists():
         return None
     loaded: dict[str, list[PredictedToponym]] = {}
@@ -417,7 +409,7 @@ def evaluate(
     predictions = cache_path = None
     if cache_dir is not None:
         cache_path = _cache_path(cache_dir, spec, corpus.name, corpus_hash or corpus_digest(corpus), gazetteer)
-        predictions = load_cached(spec, corpus, cache_dir, gazetteer, path=cache_path)
+        predictions = load_cached(corpus, cache_path)
     cached = predictions is not None
     if predictions is None:
         results = _parse_all(spec, corpus, gazetteer, workers)
@@ -437,7 +429,7 @@ def evaluate(
         predictions = {doc_id: preds for doc_id, (preds, _, _) in results.items()}
         if cache_dir is not None and not warnings:  # so that a hit reproduces this report
             try:
-                cache_predictions(spec, corpus, predictions, cache_dir, gazetteer, path=cache_path)
+                cache_predictions(corpus, predictions, cache_path)
                 cached = True
             except OSError as exc:
                 log.warning("cache entry %s not written (%s)", cache_path.name, exc)

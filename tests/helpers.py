@@ -6,19 +6,9 @@ import json
 import re
 from pathlib import Path
 
-from geobench import (
-    Corpus,
-    Document,
-    GazetteerEntry,
-    Gazetteer,
-    GeoPoint,
-    GoldToponym,
-    NoCandidateError,
-    RecognizerConfig,
-    save_corpus,
-)
-from geobench.gazetteer import normalize_name
-from geobench.geoparser import Span
+from geobench.corpus import Corpus, Document, GeoPoint, GoldToponym, save_corpus
+from geobench.gazetteer import Gazetteer, GazetteerEntry, normalize_name
+from geobench.geoparser import NoCandidateError, RecognizerConfig, Span
 
 
 def small_gazetteer() -> Gazetteer:

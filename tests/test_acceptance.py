@@ -12,31 +12,12 @@ from contextlib import contextmanager
 
 import pytest
 
-from geobench import (
-    Gazetteer,
-    GazetteerEntry,
-    GeoPoint,
-    GeoparserSpec,
-    GoldToponym,
-    PredictedToponym,
-    accuracy_at_threshold,
-    align,
-    auc_distance,
-    compare,
-    degrade_case,
-    distance_errors,
-    evaluate,
-    geodesic_distance,
-    ingest_gazetteer,
-    mean_median,
-    normalize_name,
-    precision_recall_f1,
-    recognition_accuracy,
-    resolve_population,
-    save_index,
-)
+from geobench import GeoparserSpec, compare, degrade_case, evaluate, ingest_gazetteer, save_index
+from geobench.corpus import GeoPoint, GoldToponym
+from geobench.gazetteer import Gazetteer, GazetteerEntry, normalize_name
+from geobench.geoparser import PredictedToponym, resolve_population
+from geobench.metrics import EvalReport, align, auc_distance, build_report, distance_errors, geodesic_distance
 from geobench.cli import main as cli_main
-from geobench.metrics import EvalReport
 from helpers import smoke_corpus_and_gazetteer, write_corpus_files
 
 
@@ -118,16 +99,20 @@ def test_metric_fuzz_matches_brute_force_reference():
         for _ in range(1000):
             gold, pred = random_instance(rng)
             matching = align(gold, pred, "exact")
-            warnings = []
-            precision, recall, f_score = precision_recall_f1(matching, warnings)
-            accuracy = recognition_accuracy(matching, warnings)
-            errors = distance_errors(matching, gold, pred, warnings=warnings)
-            mean, med = mean_median(errors.distances, warnings)
-            acc161 = accuracy_at_threshold(errors.distances, 161.0)
-            auc = auc_distance(errors.distances, 20039.0, warnings)
+            errors = distance_errors(matching, gold, pred)
+            report = build_report(
+                gold_count=len(gold),
+                pred_count=len(pred),
+                matched=len(matching.pairs),
+                unresolved_matched=errors.unresolved_matched,
+                distances=errors.distances,
+            )
 
             expected = ref_all_metrics(gold, pred)
-            got = (precision, recall, f_score, accuracy, mean, med, acc161, auc)
+            got = (
+                report.precision, report.recall, report.f_score, report.accuracy,
+                report.mean_km, report.median_km, report.acc_at_161, report.auc,
+            )
             for ours, reference in zip(got, expected):
                 if reference is None:
                     assert ours is None

@@ -12,15 +12,10 @@ import geobench
 
 import pytest
 
-from geobench import (
-    AdapterError,
-    AdapterProtocolError,
-    AdapterTimeout,
-    Document,
-    GeoPoint,
-    HttpGeoparser,
-    ProcessGeoparser,
-)
+from geobench import AdapterError, GeoparserSpec
+from geobench.adapters import AdapterProtocolError, AdapterTimeout, HttpGeoparser, ProcessGeoparser
+from geobench.corpus import Document, GeoPoint
+from geobench.geoparser import create_geoparser
 from helpers import write_replay_child
 
 DOC = Document("d1", "Berlin and Paris brace", ())
@@ -149,12 +144,14 @@ class TestProcessAdapter:
         with pytest.raises(AdapterError, match="cannot start"):
             ProcessGeoparser(["/nonexistent/geoparser-binary"])
 
-    def test_one_shot_parse_op(self, tmp_path):
-        from geobench import GeoparserSpec, parse
-
+    def test_spec_creates_a_process_geoparser(self, tmp_path):
         spec = GeoparserSpec("external-process", "echo", {"command": write_replay_child(tmp_path, FIXTURE)})
-        predictions = parse(spec, DOC)
-        assert [(p.start, p.end) for p in predictions] == [(0, 6)]
+        parser = create_geoparser(spec)
+        try:
+            predictions, dropped = parser.parse_document(DOC)
+        finally:
+            parser.close()
+        assert [(p.start, p.end) for p in predictions] == [(0, 6)] and dropped == 0
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -2,20 +2,9 @@ import json
 
 import pytest
 
-from geobench import (
-    Corpus,
-    CorpusFormatError,
-    Document,
-    GeoPoint,
-    GoldToponym,
-    corpus_stats,
-    degrade_case,
-    load_corpus,
-    load_manifest,
-    save_corpus,
-    save_manifest,
-    validate_corpus,
-)
+from geobench import CorpusFormatError, degrade_case, load_corpus
+from geobench.corpus import Corpus, Document, GeoPoint, GoldToponym, corpus_stats, load_manifest, save_corpus
+from helpers import write_corpus_files
 
 
 def write_lines(path, records):
@@ -127,6 +116,63 @@ class TestLoad:
         corpus = load_corpus(path)
         assert [t.name for t in corpus.documents[0].gold] == ["Paris", "Berlin"]
 
+    @pytest.mark.parametrize(
+        "records, completeness, message",
+        [
+            (
+                [{"id": "d1", "text": "short", "toponyms": [{"start": 0, "end": 99, "name": "short"}]}],
+                "complete",
+                "{path}:1: span (0, 99) out of bounds for text of length 5 (document 'd1')",
+            ),
+            (
+                [dict(BERLIN_DOC, toponyms=[{"start": 0, "end": 6, "name": "Berlin"}] * 2)],
+                "complete",
+                "{path}:1: duplicate span (0, 6) (document 'd1')",
+            ),
+            (  # the gold is sorted first, so twins apart in the file still meet
+                [dict(BERLIN_DOC, toponyms=[{"start": 0, "end": 6, "name": "Berlin"},
+                                            {"start": 10, "end": 14, "name": "cold"},
+                                            {"start": 0, "end": 6, "name": "Berlin"}])],
+                "complete",
+                "{path}:1: duplicate span (0, 6) (document 'd1')",
+            ),
+            (
+                [dict(BERLIN_DOC, toponyms=[{"start": 0, "end": 6, "name": "Munich"}])],
+                "complete",
+                "{path}:1: span (0, 6) surface form mismatch: annotated 'Munich', text has 'Berlin' (document 'd1')",
+            ),
+            (  # the first rule broken is the one named
+                [dict(BERLIN_DOC, toponyms=[{"start": 0, "end": 6, "name": "Munich", "kind": "mountain"}])],
+                "complete",
+                "{path}:1: span (0, 6) surface form mismatch: annotated 'Munich', text has 'Berlin' (document 'd1')",
+            ),
+            (
+                [dict(BERLIN_DOC, toponyms=[{"start": 0, "end": 6, "name": "Berlin", "lat": 12, "lon": 999}])],
+                "complete",
+                "{path}:1: coordinate out of range at span (0, 6): GeoPoint(lat=12.0, lon=999.0) (document 'd1')",
+            ),
+            (
+                [dict(BERLIN_DOC, toponyms=[{"start": 0, "end": 6, "name": "Berlin", "kind": "mountain"}])],
+                "complete",
+                "{path}:1: unknown toponym kind 'mountain' at span (0, 6) (document 'd1')",
+            ),
+            ([BERLIN_DOC, BERLIN_DOC], "complete", "{path}:2: duplicate document id (document 'd1')"),
+            ([BERLIN_DOC, dict(BERLIN_DOC, id="")], "complete", "{path}:2: empty document id (document '')"),
+            ([BERLIN_DOC], "sorta", "completeness must be one of ('complete', 'partial'), got 'sorta'"),
+        ],
+        ids=[
+            "span-out-of-bounds", "duplicate-span", "duplicate-span-apart", "surface-form-mismatch",
+            "first-rule-wins", "coordinate-out-of-range", "unknown-kind", "duplicate-document-id",
+            "empty-document-id", "bad-completeness",
+        ],
+    )
+    def test_each_rule_refuses_the_corpus_with_its_message(self, tmp_path, records, completeness, message):
+        path = tmp_path / "c.jsonl"
+        write_lines(path, records)
+        with pytest.raises(CorpusFormatError) as caught:
+            load_corpus(path, completeness)
+        assert str(caught.value) == message.format(path=path)
+
     def test_bad_completeness_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_lines(path, [BERLIN_DOC])
@@ -177,50 +223,6 @@ class TestLoad:
         write_lines(path, [record])
         with pytest.raises(CorpusFormatError, match="unknown toponym kind"):
             load_corpus(path)
-
-
-class TestValidate:
-    def test_valid_corpus_empty_report(self):
-        doc = Document("d1", "Berlin is cold.", (GoldToponym(0, 6, "Berlin"),))
-        assert validate_corpus(Corpus("c", (doc,))) == []
-
-    def test_span_end_beyond_text(self):
-        doc = Document("d1", "short", (GoldToponym(0, 99, "short"),))
-        report = validate_corpus(Corpus("c", (doc,)))
-        assert len(report) == 1
-        assert report[0].document_id == "d1"
-        assert "out of bounds" in report[0].message
-
-    def test_duplicate_identical_spans(self):
-        doc = Document("d1", "Berlin", (GoldToponym(0, 6, "Berlin"), GoldToponym(0, 6, "Berlin")))
-        report = validate_corpus(Corpus("c", (doc,)))
-        assert [v.message for v in report] == ["duplicate span (0, 6)"]
-
-    def test_unsorted_spans(self):
-        doc = Document("d1", "Paris and Berlin", (GoldToponym(10, 16, "Berlin"), GoldToponym(0, 5, "Paris")))
-        report = validate_corpus(Corpus("c", (doc,)))
-        assert any("not sorted" in v.message for v in report)
-
-    def test_invalid_point(self):
-        doc = Document("d1", "Berlin", (GoldToponym(0, 6, "Berlin", point=GeoPoint(12.0, 999.0)),))
-        report = validate_corpus(Corpus("c", (doc,)))
-        assert any("coordinate out of range" in v.message for v in report)
-
-    def test_duplicate_doc_ids(self):
-        doc = Document("d1", "Berlin", (GoldToponym(0, 6, "Berlin"),))
-        report = validate_corpus(Corpus("c", (doc, doc)))
-        assert any("duplicate document id" in v.message for v in report)
-
-    def test_bad_completeness(self):
-        report = validate_corpus(Corpus("c", (), completeness="sorta"))
-        assert any("completeness" in v.message for v in report)
-
-    def test_validate_is_exactly_invariants(self):
-        # every type invariant holds <=> empty report, on a mixed fixture
-        good = Document("g", "Visit Berlin now", (GoldToponym(6, 12, "Berlin"),))
-        bad = Document("b", "Visit Berlin now", (GoldToponym(6, 12, "Munich"),))
-        assert validate_corpus(Corpus("c", (good,))) == []
-        assert validate_corpus(Corpus("c", (good, bad))) != []
 
 
 class TestStats:
@@ -329,9 +331,7 @@ class TestRoundTrip:
             assert load_corpus(path, corpus.completeness, "fuzz") == corpus
 
     def test_manifest_round_trip(self, tmp_path):
-        corpus = Corpus("m", (), "partial")
-        path = tmp_path / "m.json"
-        save_manifest(corpus, path)
+        _, path = write_corpus_files(Corpus("m", (), "partial"), tmp_path)
         assert load_manifest(path) == {"name": "m", "completeness": "partial"}
 
     def test_manifest_rejects_bad_completeness(self, tmp_path):

@@ -9,18 +9,10 @@ import unicodedata
 
 import pytest
 
-from geobench import (
-    Gazetteer,
-    GazetteerEntry,
-    GazetteerError,
-    GeoPoint,
-    ingest_gazetteer,
-    load_index,
-    lookup,
-    normalize_name,
-    save_index,
-)
+from geobench import GazetteerError, ingest_gazetteer, load_index, save_index
+from geobench.corpus import GeoPoint
 from geobench import gazetteer as gazetteer_module
+from geobench.gazetteer import Gazetteer, GazetteerEntry, normalize_name
 from geobench.geoparser import GeoparserSpec
 from geobench.harness import _cache_path
 from helpers import geonames_row
@@ -285,10 +277,6 @@ class TestLookup:
         gazetteer = Gazetteer.from_entries([GazetteerEntry(1, "New York", (), GeoPoint(40.7, -74.0))])
         for query in ["new york", " NEW   YORK ", "New York"]:
             assert gazetteer.lookup(query) == gazetteer.lookup(normalize_name(query))
-
-    def test_module_level_lookup(self):
-        gazetteer = Gazetteer.from_entries([GazetteerEntry(1, "Berlin", (), GeoPoint(52.52, 13.405))])
-        assert lookup(gazetteer, "berlin") == gazetteer.lookup("berlin")
 
 
 def random_gazetteer(rng, size):

@@ -6,24 +6,19 @@ from collections import Counter
 
 import pytest
 
-from geobench import (
+from geobench import GeoparserSpec, degrade_case
+from geobench.corpus import Document, GeoPoint
+from geobench.gazetteer import Gazetteer, GazetteerEntry, normalize_name
+from geobench.geoparser import (
     BuiltinGeoparser,
-    Document,
-    Gazetteer,
-    GazetteerEntry,
-    GeoPoint,
-    GeoparserSpec,
     NoCandidateError,
     RecognizerConfig,
+    coerce_predictions,
     create_geoparser,
     default_stoplist,
-    degrade_case,
-    parse,
     recognize_lexicon,
     resolve_population,
 )
-from geobench.geoparser import coerce_predictions
-from geobench.gazetteer import normalize_name
 from helpers import (
     reference_recognize_lexicon,
     reference_resolve_population,
@@ -311,7 +306,8 @@ class TestParse:
         gazetteer = Gazetteer.from_entries([GazetteerEntry(3, "Berlin", (), GeoPoint(52.52, 13.405))])
         doc = Document("d", "I visited Berlin yesterday", ())
         spec = GeoparserSpec("builtin-baseline", "baseline")
-        predictions = parse(spec, doc, gazetteer)
+        predictions, dropped = create_geoparser(spec, gazetteer).parse_document(doc)
+        assert dropped == 0
         assert len(predictions) == 1
         got = predictions[0]
         assert (got.start, got.end, got.name) == (10, 16, "Berlin")
@@ -424,7 +420,7 @@ class TestSpecAndFactory:
     def test_a_stopword_blocks_its_name_with_diacritics_folded_or_not(self, fold):
         gazetteer = Gazetteer.from_entries([GazetteerEntry(1, "Réunion", (), GeoPoint(-21.1, 55.5))], fold)
         spec = GeoparserSpec("builtin-baseline", "b", {"extra_stopwords": ["Réunion"]})
-        assert parse(spec, Document("d", "Visit Réunion now", ()), gazetteer) == []
+        assert create_geoparser(spec, gazetteer).parse_document(Document("d", "Visit Réunion now", ())) == ([], 0)
         assert normalize_name("Réunion", fold) in create_geoparser(spec, gazetteer).config.stoplist
 
     def test_process_spec_needs_command(self):

@@ -10,30 +10,35 @@ import pytest
 
 from geobench import (
     AdapterError,
-    Corpus,
     CorpusFormatError,
-    CorpusSource,
-    Document,
     EvalReport,
     GeoparserSpec,
-    Leaderboard,
     MetricsConfig,
-    RunConfig,
     RunConfigError,
-    align,
-    cache_predictions,
     compare,
     degrade_case,
     evaluate,
-    load_cached,
     load_corpus,
     load_run_config,
     render_report,
     run_benchmark,
+    save_index,
 )
+from geobench.corpus import Corpus, Document
+from geobench.geoparser import BuiltinGeoparser
+from geobench.harness import (
+    CorpusSource,
+    Leaderboard,
+    RunConfig,
+    _cache_path,
+    cache_predictions,
+    corpus_digest,
+    load_cached,
+    load_leaderboards,
+)
+from geobench.metrics import SCORING_VERSION, align
 from geobench import gazetteer as gazetteer_module
 from geobench import harness as harness_module
-from geobench.harness import load_leaderboards
 from helpers import (
     geonames_row,
     gold_replay_fixture,
@@ -79,8 +84,6 @@ class TestEvaluate:
     def test_micro_aggregation_matches_per_document_sums(self):
         corpus, gazetteer = smoke_corpus_and_gazetteer(7)
         report = evaluate(BUILTIN, corpus, gazetteer)
-        from geobench import BuiltinGeoparser
-
         parser = BuiltinGeoparser(gazetteer)
         gold = pred = matched = 0
         for doc in corpus.documents:
@@ -173,33 +176,37 @@ class TestFailurePolicy:
             evaluate(spec, corpus)
 
 
+def builtin_cache_path(cache_dir, corpus, gazetteer):
+    """The prediction-cache file that evaluate reads and writes for BUILTIN on this corpus and gazetteer."""
+    return _cache_path(cache_dir, BUILTIN, corpus.name, corpus_digest(corpus), gazetteer)
+
+
 class TestCache:
     def test_write_then_read_identical(self, tmp_path):
         corpus, gazetteer = smoke_corpus_and_gazetteer(5)
-        from geobench import BuiltinGeoparser
-
         parser = BuiltinGeoparser(gazetteer)
         predictions = {doc.id: parser.parse_document(doc)[0] for doc in corpus.documents}
-        cache_predictions(BUILTIN, corpus, predictions, tmp_path, gazetteer)
-        loaded = load_cached(BUILTIN, corpus, tmp_path, gazetteer)
+        path = builtin_cache_path(tmp_path, corpus, gazetteer)
+        cache_predictions(corpus, predictions, path)
+        loaded = load_cached(corpus, path)
         assert loaded == predictions  # entry ids and points survive the round trip
 
     def test_corpus_edit_is_a_miss(self, tmp_path):
         corpus, gazetteer = smoke_corpus_and_gazetteer(3)
         predictions = {doc.id: [] for doc in corpus.documents}
-        cache_predictions(BUILTIN, corpus, predictions, tmp_path, gazetteer)
+        cache_predictions(corpus, predictions, builtin_cache_path(tmp_path, corpus, gazetteer))
         edited_docs = (corpus.documents[0],) + tuple(
             Document(d.id, d.text + "!", d.gold, d.source) for d in corpus.documents[1:]
         )
         edited = Corpus(corpus.name, edited_docs, corpus.completeness)
-        assert load_cached(BUILTIN, edited, tmp_path, gazetteer) is None
+        assert load_cached(edited, builtin_cache_path(tmp_path, edited, gazetteer)) is None
 
     def test_gazetteer_digest_in_builtin_key(self, tmp_path):
         corpus, gazetteer = smoke_corpus_and_gazetteer(3)
         _, other_gazetteer = smoke_corpus_and_gazetteer(4)
         predictions = {doc.id: [] for doc in corpus.documents}
-        cache_predictions(BUILTIN, corpus, predictions, tmp_path, gazetteer)
-        assert load_cached(BUILTIN, corpus, tmp_path, other_gazetteer) is None
+        cache_predictions(corpus, predictions, builtin_cache_path(tmp_path, corpus, gazetteer))
+        assert load_cached(corpus, builtin_cache_path(tmp_path, corpus, other_gazetteer)) is None
 
     def test_corrupt_line_recomputes_with_warning(self, tmp_path, caplog):
         corpus, gazetteer = smoke_corpus_and_gazetteer(3)
@@ -278,7 +285,7 @@ class TestCache:
         def probe(function):
             return lambda *args: seen.append(gc.isenabled()) or function(*args)
 
-        monkeypatch.setattr(corpus_module, "_document_violations", probe(corpus_module._document_violations))
+        monkeypatch.setattr(corpus_module, "_document_error", probe(corpus_module._document_error))
         monkeypatch.setattr(harness_module, "parse_response", probe(harness_module.parse_response))
         was_enabled = gc.isenabled()
         try:
@@ -296,7 +303,7 @@ class TestCache:
                         with pytest.raises(CorpusFormatError, match=":3:"):
                             load_corpus(corpus_path)
                     assert gc.isenabled() is caller_enabled
-                    loaded = load_cached(BUILTIN, corpus, tmp_path / "cache", gazetteer)
+                    loaded = load_cached(corpus, cache_file)
                     assert (loaded is not None) is valid
                     assert gc.isenabled() is caller_enabled
                     assert seen and not any(seen)  # every decoded line was read with the GC off
@@ -318,7 +325,8 @@ class TestCache:
         ],
     )
     def test_a_stoplist_that_folding_changes_has_a_key_of_its_own(self, tmp_path, fold, name, unfolded_stopwords_name):
-        from geobench import Gazetteer, GazetteerEntry, GeoPoint
+        from geobench.corpus import GeoPoint
+        from geobench.gazetteer import Gazetteer, GazetteerEntry
 
         gazetteer = Gazetteer.from_entries([GazetteerEntry(1, "Réunion", (), GeoPoint(-21.1, 55.5))], fold)
         spec = GeoparserSpec("builtin-baseline", "b", {"extra_stopwords": ["Réunion"]})
@@ -675,8 +683,6 @@ class TestRunBenchmark:
         self.assert_same_run(tmp_path / "cold", tmp_path / "warm")
 
     def test_corpus_key_of_a_non_canonical_file(self, tmp_path):
-        from geobench.harness import corpus_digest
-
         corpus_path = tmp_path / "odd.jsonl"
         record = {
             "toponyms": [
@@ -730,8 +736,6 @@ class TestRunBenchmark:
     def log_parses(monkeypatch):
         """Log each builtin parse as (process id, on the main thread)."""
         import threading
-
-        from geobench.geoparser import BuiltinGeoparser
 
         original = BuiltinGeoparser.parse_document
         parses = []
@@ -961,3 +965,83 @@ class TestRunBenchmark:
             assert [p.name for p in produced] == [p.name for p in sorted((tmp_path / "primed" / sub).iterdir())]
             for path in produced:
                 assert path.read_bytes() == (tmp_path / "primed" / sub / path.name).read_bytes()
+
+
+class TestScoringVersion:
+    @staticmethod
+    def scoring_fixture(tmp_path) -> Path:
+        """A run config whose reports exercise every metric, warning and both leaderboard orders.
+
+        The builtin also predicts the planted non-place "Flood", so precision is below recall; a third of the
+        gazetteer points are moved 0.75 and 1.5 degrees north of the gold, so errors straddle 161 km; the
+        lower-cased copy of the corpus is partially annotated.
+        """
+        from dataclasses import replace
+
+        from geobench.corpus import GeoPoint
+        from geobench.gazetteer import Gazetteer, GazetteerEntry
+
+        corpus, gazetteer = smoke_corpus_and_gazetteer(20, name="smoke")
+        entries = [
+            replace(e, point=GeoPoint(e.point.lat + (i % 3) * 0.75, e.point.lon))
+            for i, e in enumerate(gazetteer.entries.values())
+        ]
+        entries.append(GazetteerEntry(1, "Flood", (), GeoPoint(0.0, 0.0), "P", "PPL", 5, "XX"))
+        save_index(Gazetteer.from_entries(entries), tmp_path / "gaz.index")
+        lowered = replace(degrade_case(corpus), name="lower", completeness="partial")
+        corpora = []
+        for c in (corpus, lowered):
+            path, manifest = write_corpus_files(c, tmp_path)
+            corpora.append({"path": path.name, "manifest": manifest.name})
+        config = tmp_path / "run.json"
+        config.write_text(
+            json.dumps({
+                "corpora": corpora,
+                "gazetteer": {"path": "gaz.index", "schema": "index"},
+                "geoparsers": [
+                    {"kind": "builtin-baseline", "identifier": "baseline"},
+                    {"kind": "builtin-baseline", "identifier": "no-caps", "parameters": {"require_capitalized": False}},
+                ],
+                "cache_dir": "cache",
+            }),
+            encoding="utf-8",
+        )
+        return config
+
+    @staticmethod
+    def output_digest(run_dir: Path) -> str:
+        h = hashlib.sha256()
+        for sub in ("reports", "leaderboards"):
+            for path in sorted((run_dir / sub).iterdir()):
+                h.update(f"{sub}/{path.name}\n".encode())
+                h.update(path.read_bytes())
+        return h.hexdigest()
+
+    def test_report_bytes_are_pinned_with_the_scoring_version(self, tmp_path):
+        # A change to these bytes must come with a bump of metrics.SCORING_VERSION, so that no stored score
+        # computed by the old code is read as the new code's; then update both values here.
+        from geobench.cli import main
+
+        config = self.scoring_fixture(tmp_path)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "run"), "--no-cache"]) == 0
+        assert not (tmp_path / "cache").exists()
+        assert (SCORING_VERSION, self.output_digest(tmp_path / "run")) == (
+            1,
+            "6cbdfc708b0935472d8fd4ef70fd2428a0986335d2a460b64a41e97f153bd756",
+        )
+
+    def test_a_bumped_version_misses_scores_stored_by_the_old_scoring(self, tmp_path, monkeypatch):
+        from geobench import metrics as metrics_module
+
+        config = load_run_config(self.scoring_fixture(tmp_path))
+        run_benchmark(config, tmp_path / "primed")
+        monkeypatch.setattr(metrics_module, "_f1", lambda precision, recall: precision * recall)
+        run_benchmark(config, tmp_path / "fresh", use_cache=False)
+        assert self.output_digest(tmp_path / "fresh") != self.output_digest(tmp_path / "primed")
+        run_benchmark(config, tmp_path / "stale")  # the score entries hide the change until the version moves
+        assert self.output_digest(tmp_path / "stale") == self.output_digest(tmp_path / "primed")
+        monkeypatch.setattr(harness_module, "SCORING_VERSION", SCORING_VERSION + 1)
+        monkeypatch.setattr(harness_module, "_parse_all", lambda *a, **k: pytest.fail("prediction cache missed"))
+        run_benchmark(config, tmp_path / "warm")
+        TestRunBenchmark.assert_same_run(tmp_path / "fresh" / "reports", tmp_path / "warm" / "reports")
+        TestRunBenchmark.assert_same_run(tmp_path / "fresh" / "leaderboards", tmp_path / "warm" / "leaderboards")

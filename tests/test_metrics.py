@@ -6,13 +6,10 @@ from itertools import permutations
 
 import pytest
 
-from geobench import (
-    EvalReport,
-    GeoPoint,
-    GoldToponym,
-    Matching,
-    MetricsConfig,
-    PredictedToponym,
+from geobench import EvalReport, MetricsConfig
+from geobench.corpus import GeoPoint, GoldToponym
+from geobench.geoparser import PredictedToponym
+from geobench.metrics import (
     accuracy_at_threshold,
     align,
     auc_distance,
@@ -20,8 +17,7 @@ from geobench import (
     distance_errors,
     geodesic_distance,
     mean_median,
-    precision_recall_f1,
-    recognition_accuracy,
+    warn_missing_gold,
 )
 from helpers import reference_align_overlap
 
@@ -252,32 +248,32 @@ class TestAlignOverlapBounds:
 # recognition ratios
 
 
+def recognition_report(gold_count, pred_count, matched):
+    """The report of pooled recognition counts, with no distance to score."""
+    return build_report(gold_count=gold_count, pred_count=pred_count, matched=matched, unresolved_matched=0, distances=[])
+
+
 class TestPrecisionRecallF1:
     def test_direct_formula(self):
-        m = Matching(pairs=((0, 0), (1, 1), (2, 2)), unmatched_gold=(3,), unmatched_pred=(3, 4))
-        p, r, f = precision_recall_f1(m)
-        assert (p, r) == (0.6, 0.75)
-        assert f == pytest.approx(2 * 0.6 * 0.75 / 1.35)
+        report = recognition_report(4, 5, 3)
+        assert (report.precision, report.recall) == (0.6, 0.75)
+        assert report.f_score == pytest.approx(2 * 0.6 * 0.75 / 1.35)
 
     def test_perfect(self):
-        m = Matching(pairs=((0, 0), (1, 1)), unmatched_gold=(), unmatched_pred=())
-        assert precision_recall_f1(m) == (1.0, 1.0, 1.0)
+        report = recognition_report(2, 2, 2)
+        assert (report.precision, report.recall, report.f_score) == (1.0, 1.0, 1.0)
 
     def test_no_predictions_warns(self):
-        m = Matching(pairs=(), unmatched_gold=(0, 1, 2, 3), unmatched_pred=())
-        warnings = []
-        assert precision_recall_f1(m, warnings) == (0.0, 0.0, 0.0)
-        assert warnings == ["precision: no predicted toponyms"]
+        report = recognition_report(4, 0, 0)
+        assert (report.precision, report.recall, report.f_score) == (0.0, 0.0, 0.0)
+        assert report.warnings == ["precision: denominator is zero", "mean/median: no resolved pairs to score"]
 
     def test_accuracy(self):
-        m = Matching(pairs=tuple((i, i) for i in range(4)), unmatched_gold=tuple(range(4, 10)), unmatched_pred=())
-        assert recognition_accuracy(m) == 0.4
-        full = Matching(pairs=((0, 0),), unmatched_gold=(), unmatched_pred=())
-        assert recognition_accuracy(full) == 1.0
-        warnings = []
-        empty = Matching(pairs=(), unmatched_gold=(), unmatched_pred=())
-        assert recognition_accuracy(empty, warnings) == 0.0
-        assert warnings
+        assert recognition_report(10, 4, 4).accuracy == 0.4
+        assert recognition_report(1, 1, 1).accuracy == 1.0
+        empty = recognition_report(0, 0, 0)
+        assert empty.accuracy == 0.0
+        assert empty.warnings[0] == "accuracy: denominator is zero"
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +334,12 @@ class TestDistanceErrors:
     def test_missing_gold_point_skipped_with_warning(self):
         gold = [GoldToponym(0, 5, "x")]
         pred = [PredictedToponym(0, 5, "x", point=PARIS)]
-        warnings = []
-        errors = distance_errors(align(gold, pred), gold, pred, warnings=warnings)
+        errors = distance_errors(align(gold, pred), gold, pred)
         assert errors.distances == []
         assert errors.missing_gold_points == 1
-        assert any("no coordinates" in w for w in warnings)
+        warnings = []
+        warn_missing_gold(errors.missing_gold_points, warnings)
+        assert warnings == ["distance: 1 matched pairs skipped (gold annotation has no coordinates)"]
 
     def test_against_haversine_oracle(self):
         rng = random.Random(29)
@@ -457,7 +454,8 @@ class TestRatioProperties:
         for _ in range(300):
             g_spans, p_spans = random_spans(rng, 10), random_spans(rng, 10)
             m = align(make_gold(g_spans, rng), make_pred(p_spans, rng))
-            p, r, f = precision_recall_f1(m)
+            report = recognition_report(len(g_spans), len(p_spans), len(m.pairs))
+            p, r, f = report.precision, report.recall, report.f_score
             for value in (p, r, f):
                 assert 0.0 <= value <= 1.0
             assert f <= max(p, r) + 1e-12
