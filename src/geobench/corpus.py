@@ -258,14 +258,6 @@ def document_to_json_line(doc: Document) -> str:
     return json.dumps(record, ensure_ascii=False, sort_keys=True)
 
 
-def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write the corpus in the JSON-lines interchange format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in corpus.documents:
-            fh.write(document_to_json_line(doc))
-            fh.write("\n")
-
-
 def load_manifest(path: str | Path) -> dict:
     """Load a corpus manifest: {"name": str, "completeness": "complete"|"partial"}."""
     try:

@@ -183,8 +183,7 @@ class Gazetteer:
                 raise GazetteerError(f"{source}: malformed index rows: {exc}") from None
             # "\n" only: str.splitlines would also break names at U+0085, U+2028 or "\x1c"
             lines = text.removesuffix("\n").split("\n")
-            # not hashed again: the header's digest was checked against these bytes
-            entries, index, _ = _read_rows(lines, _DIGEST_COLUMNS, self.fold_diacritics, stats, hash_rows=False)
+            entries, index = _read_rows(lines, _DIGEST_COLUMNS, self.fold_diacritics, stats)
             if stats.rows_skipped:  # a repeated id too
                 raise GazetteerError(f"{source}: {stats.rows_skipped} malformed index rows {stats.skip_reasons}")
         self._unparsed = None  # the entries replace the body bytes
@@ -222,11 +221,10 @@ class Gazetteer:
     def digest(self) -> str:
         """Content digest over all entries, in id order, and the fold flag (memoized).
 
-        `ingest_gazetteer` hashes the rows in its row pass when their ids
-        ascend, and `load_index` takes the digest from the index header, so
-        only a gazetteer built from entries, or from a table whose ids do
-        not ascend, renders its entries here. The digest is the same either
-        way.
+        The first call renders each entry's digest row in id order and
+        hashes the rows. A gazetteer from `load_index` already knows its
+        digest: the index header holds it, and the load checked it against
+        the body bytes.
         """
         if self._digest is None:
             h = _digest_hasher(self.fold_diacritics)
@@ -299,19 +297,13 @@ def _index_names(index: dict[str, list[int]], entry_id: int, names: tuple[str, .
                 postings.append(entry_id)
 
 
-# Digest rows are hashed in joined chunks of this many, not one call per row and not all at once.
-_DIGEST_CHUNK_ROWS = 1024
-
-
-def _read_rows(lines, cols: dict, fold_diacritics: bool, stats: IngestStats, hash_rows: bool = True):
-    """The one reader of tab-separated place rows: returns (entries by id, name index, digest or None).
+def _read_rows(lines, cols: dict, fold_diacritics: bool, stats: IngestStats):
+    """The one reader of tab-separated place rows: returns (entries by id, name index).
 
     In one pass over the lines, each row is parsed and validated, a row
     repeating an earlier id is skipped, and the entry is added to the name
-    index. Invalid and repeated rows are tallied in `stats`. With
-    `hash_rows`, each entry's digest row is hashed as it comes while the ids
-    ascend, and the digest equals `Gazetteer.digest()`; at the first id
-    lower than the one before, hashing stops and the digest is None.
+    index. Invalid and repeated rows are tallied in `stats`. Posting lists
+    are sorted afterwards only if some id came in lower than the one before.
     """
     id_c, name_c = cols["id"], cols["name"]
     lat_c, lon_c = cols["lat"], cols["lon"]
@@ -325,8 +317,6 @@ def _read_rows(lines, cols: dict, fold_diacritics: bool, stats: IngestStats, has
     intern = sys.intern
     entries: dict[int, GazetteerEntry] = {}
     index: dict[str, list[int]] = {}
-    hasher = _digest_hasher(fold_diacritics) if hash_rows else None
-    chunk: list[GazetteerEntry] = []
     ascending = True
     last_id = -math.inf
     for line in lines:
@@ -372,7 +362,7 @@ def _read_rows(lines, cols: dict, fold_diacritics: bool, stats: IngestStats, has
         if alt_c is not None and parts[alt_c]:
             alternates = tuple(a.strip() for a in parts[alt_c].split(",") if a.strip())
         # positional: passed as keywords, these arguments made the call about 1.5 times as slow
-        entry = entries[entry_id] = GazetteerEntry(
+        entries[entry_id] = GazetteerEntry(
             entry_id,
             name,
             alternates,
@@ -386,20 +376,11 @@ def _read_rows(lines, cols: dict, fold_diacritics: bool, stats: IngestStats, has
         _index_names(index, entry_id, (name, *alternates), fold_diacritics)
         if entry_id < last_id:
             ascending = False
-            hasher = None
         last_id = entry_id
-        if hasher is not None:
-            chunk.append(entry)
-            if len(chunk) == _DIGEST_CHUNK_ROWS:
-                hasher.update("".join(map(_digest_row, chunk)).encode("utf-8"))
-                chunk.clear()
     if not ascending:
         for postings in index.values():
             postings.sort()
-    if hasher is None:
-        return entries, index, None
-    hasher.update("".join(map(_digest_row, chunk)).encode("utf-8"))
-    return entries, index, hasher.hexdigest()
+    return entries, index
 
 
 def ingest_gazetteer(
@@ -414,10 +395,9 @@ def ingest_gazetteer(
     skipped and tallied in the returned IngestStats, not fatal; an
     unreadable file or zero valid rows is.
 
-    The same pass builds the entries and the name index and, while the ids
-    ascend, hashes the rows, so the returned gazetteer already knows its
-    `digest()`. A table whose ids do not ascend gets the same digest,
-    computed on first use.
+    The same pass builds the entries and the name index. It hashes
+    nothing: the gazetteer's `digest()` is computed on its first call, so
+    a caller that needs no cache key never pays for it.
     """
     cols = _check_schema(schema)
     stats = IngestStats()
@@ -426,13 +406,11 @@ def ingest_gazetteer(
     except OSError as exc:
         raise GazetteerError(f"cannot read gazetteer file {path}: {exc}") from exc
     with fh, gc_paused():
-        entries, index, digest = _read_rows(fh, cols, fold_diacritics, stats)
+        entries, index = _read_rows(fh, cols, fold_diacritics, stats)
     stats.rows_ingested = len(entries)
     if not entries:
         raise GazetteerError(f"no valid rows in gazetteer file {path}")
-    gazetteer = Gazetteer(entries, index, fold_diacritics)
-    gazetteer._digest = digest
-    return gazetteer, stats
+    return Gazetteer(entries, index, fold_diacritics), stats
 
 
 # A saved index is this JSON header line, which also holds the fold flag and
@@ -453,7 +431,7 @@ def save_index(gazetteer: Gazetteer, path: str | Path) -> None:
     ids = sorted(entries)
     rows = [_digest_row(entries[entry_id]) for entry_id in ids]
     # all checked before the file is opened, so a refused entry leaves no partial index
-    reread, _, _ = _read_rows(rows, _DIGEST_COLUMNS, gazetteer.fold_diacritics, IngestStats(), hash_rows=False)
+    reread, _ = _read_rows(rows, _DIGEST_COLUMNS, gazetteer.fold_diacritics, IngestStats())
     for entry_id, row in zip(ids, rows):
         if row.count("\n") != 1 or reread.get(entry_id) != entries[entry_id]:
             raise GazetteerError(f"entry {entry_id} cannot be saved: its fields do not survive an index row")

@@ -25,6 +25,12 @@ from .gazetteer import WORD, Gazetteer, GazetteerEntry, normalize_name
 
 GEOPARSER_KINDS = ("builtin-baseline", "external-process", "external-http")
 
+# Names the builtin's code in its prediction-cache key. Bump it with any change to the predictions the builtin
+# makes from a document, a gazetteer and its parameters: to the recognizer, the resolver, the stoplist, the
+# gazetteer's lexicon or head table, or normalize_name. A cached prediction then misses instead of hiding the
+# change. tests/test_harness.py pins it together with the prediction-cache bytes of a fixture run.
+BUILTIN_VERSION = 1
+
 # splits a text into the parts between word tokens (even indexes) and the tokens (odd indexes)
 _TOKENS = re.compile(r"(\w+)")
 

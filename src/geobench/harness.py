@@ -35,7 +35,7 @@ from .corpus import (
     load_manifest,
 )
 from .gazetteer import Gazetteer, GazetteerError, _check_schema, ingest_gazetteer, load_index
-from .geoparser import GeoparserSpec, PredictedToponym, RecognizerConfig, create_geoparser
+from .geoparser import BUILTIN_VERSION, GeoparserSpec, PredictedToponym, create_geoparser
 from .metrics import (
     REPORT_METRICS,
     SCORING_VERSION,
@@ -226,18 +226,13 @@ def _report_name(corpus_name: str, identifier: str) -> str:
 def _cache_path(
     cache_dir, spec: GeoparserSpec, corpus_name: str, corpus_hash: str, gazetteer: Gazetteer | None
 ) -> Path:
-    # keyed on everything predictions depend on: the spec, the corpus and (builtin only) the gazetteer
+    # keyed on everything predictions depend on: the spec, the corpus and, for the builtin, its code and the gazetteer
     h = hashlib.sha256()
     h.update(json.dumps([spec.kind, spec.parameters], sort_keys=True).encode())
     h.update(corpus_hash.encode())
     if spec.kind == "builtin-baseline" and gazetteer is not None:
+        h.update(f"builtin version {BUILTIN_VERSION}\n".encode())
         h.update(gazetteer.digest().encode())
-        # Stopwords are normalized with the gazetteer's fold flag. A spec whose stoplist folding changes gets a key
-        # of its own, so that no entry written while its stopwords went unfolded is read as its predictions.
-        if gazetteer.fold_diacritics:
-            stoplists = {RecognizerConfig.from_parameters(spec.parameters or {}, f).stoplist for f in (True, False)}
-            if len(stoplists) > 1:
-                h.update(b"folded stopwords")
     return Path(cache_dir) / f"{_safe_name(spec.identifier)}__{_safe_name(corpus_name)}__{h.hexdigest()[:16]}.jsonl"
 
 
@@ -634,6 +629,8 @@ def run_benchmark(
     gazetteer = None
     if any(spec.kind == "builtin-baseline" for spec in config.geoparsers):
         gazetteer = load_gazetteer_for_run(config)
+        if cache_dir is not None:
+            gazetteer.digest()  # the builtin's cache key, computed in set-up rather than in the first evaluation
     boards: dict[str, Leaderboard] = {}
     for source in config.corpora:
         rows = _evaluate_corpus(config, gazetteer, cache_dir, workers, source)

@@ -345,9 +345,10 @@ def mean_median(distances: list[float], warnings: list[str] | None = None) -> tu
 
 
 def accuracy_at_threshold(distances: list[float], threshold_km: float = DEFAULT_THRESHOLD_KM) -> float | None:
-    """Fraction of error distances within the threshold (inclusive); absent when empty."""
-    if not is_positive_json_number(threshold_km):
-        raise ValueError(f"threshold_km must be a finite number above 0, got {threshold_km!r}")
+    """Fraction of error distances within the threshold (inclusive); absent when empty.
+
+    The threshold is a MetricsConfig value, checked there.
+    """
     if not distances:
         return None
     return sum(1 for d in distances if d <= threshold_km) / len(distances)

@@ -6,7 +6,7 @@ import json
 import re
 from pathlib import Path
 
-from geobench.corpus import Corpus, Document, GeoPoint, GoldToponym, save_corpus
+from geobench.corpus import Corpus, Document, GeoPoint, GoldToponym, document_to_json_line
 from geobench.gazetteer import Gazetteer, GazetteerEntry, normalize_name
 from geobench.geoparser import NoCandidateError, RecognizerConfig, Span
 
@@ -47,6 +47,14 @@ def smoke_corpus_and_gazetteer(n: int = 20, name: str = "smoke"):
         documents.append(Document(f"doc-{i:03d}", text, gold, source=name))
     corpus = Corpus(name=name, documents=tuple(documents), completeness="complete")
     return corpus, Gazetteer.from_entries(entries)
+
+
+def save_corpus(corpus: Corpus, path: str | Path) -> None:
+    """Write the corpus in the JSON-lines interchange format."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for doc in corpus.documents:
+            fh.write(document_to_json_line(doc))
+            fh.write("\n")
 
 
 def write_corpus_files(corpus: Corpus, directory: Path) -> tuple[Path, Path]:

@@ -220,7 +220,7 @@ class TestRunReportCompare:
         run_setup.write_text(json.dumps(raw), encoding="utf-8")
         assert main(["run", "--config", str(run_setup), "--out", str(tmp_path / "o")]) == 0
         # the key hashes [kind, null], as before null was checked
-        assert [p.name for p in (run_setup.parent / "cache").glob("*.jsonl")] == ["baseline__demo__ad3e465809957e71.jsonl"]
+        assert [p.name for p in (run_setup.parent / "cache").glob("*.jsonl")] == ["baseline__demo__987f72ad09b26758.jsonl"]
 
     def test_broken_adapter_is_adapter_error(self, tmp_path, capsys):
         corpus, _ = smoke_corpus_and_gazetteer(4, name="demo")

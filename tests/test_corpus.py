@@ -3,8 +3,8 @@ import json
 import pytest
 
 from geobench import CorpusFormatError, degrade_case, load_corpus
-from geobench.corpus import Corpus, Document, GeoPoint, GoldToponym, corpus_stats, load_manifest, save_corpus
-from helpers import write_corpus_files
+from geobench.corpus import Corpus, Document, GeoPoint, GoldToponym, corpus_stats, load_manifest
+from helpers import save_corpus, write_corpus_files
 
 
 def write_lines(path, records):

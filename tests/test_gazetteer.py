@@ -1,5 +1,6 @@
 import gc
 import json
+import logging
 import random
 import re
 import sys
@@ -10,12 +11,12 @@ import unicodedata
 import pytest
 
 from geobench import GazetteerError, ingest_gazetteer, load_index, save_index
-from geobench.corpus import GeoPoint
+from geobench.corpus import Corpus, Document, GeoPoint
 from geobench import gazetteer as gazetteer_module
 from geobench.gazetteer import Gazetteer, GazetteerEntry, normalize_name
 from geobench.geoparser import GeoparserSpec
-from geobench.harness import _cache_path
-from helpers import geonames_row
+from geobench.harness import CorpusSource, RunConfig, _cache_path, run_benchmark
+from helpers import geonames_row, write_corpus_files
 
 
 class TestNormalizeName:
@@ -201,15 +202,15 @@ def write_rows(path, rows):
     return path
 
 
-# Computed from keyed_rows(False) before the ingest hashed rows in its own pass. The builtin's prediction-cache
-# file names hash the digest, so these values must never change.
+# Computed from keyed_rows(False). The builtin's prediction-cache file names hash the digest, so these values
+# must never change. The names also hash geoparser.BUILTIN_VERSION, and move only when it is bumped.
 KEYED_DIGESTS = {
     False: "5f8fc0cda02327e9e32f67220da96f9f550502e458d265950d9a579ba1e22e91",
     True: "efcbac066285383248058d3cc517f6570ca7930223ad3383841859bf5471036e",
 }
 KEYED_CACHE_NAMES = {
-    False: ["builtin__fixture__c3dd5dd24d56c072.jsonl", "builtin-stop__fixture__8a5535b19d031664.jsonl"],
-    True: ["builtin__fixture__9f761b1905bbdf3d.jsonl", "builtin-stop__fixture__89ec464ba1920db6.jsonl"],
+    False: ["builtin__fixture__a7c520e8847540a5.jsonl", "builtin-stop__fixture__c9c07f067428b43f.jsonl"],
+    True: ["builtin__fixture__3c3d70741346ae65.jsonl", "builtin-stop__fixture__20912544b14f461e.jsonl"],
 }
 
 
@@ -248,19 +249,37 @@ class TestDigest:
         assert ingested.digest() == rendered.digest() == header["digest"] == load_index(tmp_path / "gaz.index").digest()
         assert ingested.index == rendered.index
 
-    @pytest.mark.parametrize("ascending, rendered_ids", [(True, []), (False, [5, 10, 20, 30])], ids=["ascending", "unsorted"])
-    def test_digest_renders_rows_only_when_ids_do_not_ascend(self, tmp_path, monkeypatch, ascending, rendered_ids):
-        gazetteer, _ = ingest_gazetteer(write_rows(tmp_path / "gaz.tsv", keyed_rows(ascending)))
-        rendered = []
-        real_row = gazetteer_module._digest_row
+    @pytest.mark.parametrize("use_cache", [True, False], ids=["cached", "no-cache"])
+    def test_a_run_digests_a_tsv_gazetteer_in_set_up_and_only_with_a_cache(self, tmp_path, monkeypatch, caplog, use_cache):
+        # A benchmark's documents per second count from the first "evaluating" line, so hashing the gazetteer
+        # after it would be charged to the evaluations.
+        corpus_path, _ = write_corpus_files(Corpus("c", (Document("d", "From Paris to Zürich", ()),)), tmp_path)
+        config = RunConfig(
+            corpora=(CorpusSource("c", str(corpus_path)),),
+            gazetteer_path=str(write_rows(tmp_path / "gaz.tsv", keyed_rows(ascending=True))),
+            geoparsers=(
+                GeoparserSpec("builtin-baseline", "b"),
+                GeoparserSpec("builtin-baseline", "no-caps", {"require_capitalized": False}),
+            ),
+            cache_dir=str(tmp_path / "cache"),
+        )
+        calls = []  # per call: whether it renders the rows, and the "evaluating" lines logged before it
+        real_digest = Gazetteer.digest
 
-        def counting_row(entry):
-            rendered.append(entry.id)
-            return real_row(entry)
+        def digest(gazetteer):
+            logged = [r.getMessage() for r in caplog.records if r.getMessage().startswith("evaluating ")]
+            calls.append((gazetteer._digest is None, logged))
+            return real_digest(gazetteer)
 
-        monkeypatch.setattr(gazetteer_module, "_digest_row", counting_row)
-        assert gazetteer.digest() == KEYED_DIGESTS[False]
-        assert rendered == rendered_ids
+        monkeypatch.setattr(Gazetteer, "digest", digest)
+        caplog.set_level(logging.INFO, logger="geobench.harness")
+        run_benchmark(config, tmp_path / "run", use_cache=use_cache)
+        assert [r.getMessage() for r in caplog.records] == ["evaluating b on c", "evaluating no-caps on c"]
+        if use_cache:
+            assert calls[0] == (True, [])
+            assert not any(renders for renders, _ in calls[1:])
+        else:
+            assert calls == []
 
     def test_unsorted_ingest_keeps_posting_lists_ascending(self, tmp_path):
         rows = [geonames_row(i, "Springfield", 1.0, 1.0, alternates="Shelbyville") for i in (9, 3, 7, 1)]

@@ -25,7 +25,7 @@ from geobench import (
     save_index,
 )
 from geobench.corpus import Corpus, Document
-from geobench.geoparser import BuiltinGeoparser
+from geobench.geoparser import BUILTIN_VERSION, BuiltinGeoparser
 from geobench.harness import (
     CorpusSource,
     Leaderboard,
@@ -317,14 +317,8 @@ class TestCache:
         cached = evaluate(BUILTIN, corpus, gazetteer, cache_dir=tmp_path)
         assert cached == fresh
 
-    @pytest.mark.parametrize(
-        "fold, name, unfolded_stopwords_name",
-        [
-            (True, "b__c__908c1776f5af7c14.jsonl", "b__c__0d8d8a85fd96fd1b.jsonl"),  # whose entry predicts Réunion
-            (False, "b__c__1ee3fd2fe4b4ca38.jsonl", "b__c__1ee3fd2fe4b4ca38.jsonl"),  # folding changes nothing here
-        ],
-    )
-    def test_a_stoplist_that_folding_changes_has_a_key_of_its_own(self, tmp_path, fold, name, unfolded_stopwords_name):
+    @pytest.mark.parametrize("fold", [True, False], ids=["folded", "plain"])
+    def test_a_stoplist_normalized_with_the_fold_flag_is_cached_with_its_predictions(self, tmp_path, monkeypatch, fold):
         from geobench.corpus import GeoPoint
         from geobench.gazetteer import Gazetteer, GazetteerEntry
 
@@ -332,8 +326,8 @@ class TestCache:
         spec = GeoparserSpec("builtin-baseline", "b", {"extra_stopwords": ["Réunion"]})
         corpus = Corpus("c", (Document("d", "Visit Réunion now", ()),))
         assert evaluate(spec, corpus, gazetteer, cache_dir=tmp_path).predicted == 0
-        assert [p.name for p in tmp_path.glob("*.jsonl")] == [name]
-        assert (name != unfolded_stopwords_name) is fold
+        monkeypatch.setattr(harness_module, "_parse_all", lambda *a, **k: pytest.fail("prediction cache missed"))
+        assert evaluate(spec, corpus, gazetteer, cache_dir=tmp_path).predicted == 0
 
 
 def report_with(identifier, corpus="demo", f_score=None, accuracy=None, **kwargs):
@@ -1029,6 +1023,47 @@ class TestScoringVersion:
             1,
             "6cbdfc708b0935472d8fd4ef70fd2428a0986335d2a460b64a41e97f153bd756",
         )
+
+    @staticmethod
+    def prediction_digest(cache_dir: Path) -> str:
+        # each prediction-cache file's bytes under its geoparser and corpus; not its key, which the version moves
+        h = hashlib.sha256()
+        for path in sorted(cache_dir.glob("*.jsonl")):
+            h.update(f"{path.name.rsplit('__', 1)[0]}\n".encode())
+            h.update(path.read_bytes())
+        return h.hexdigest()
+
+    def test_prediction_bytes_are_pinned_with_the_builtin_version(self, tmp_path):
+        # A change to these bytes must come with a bump of geoparser.BUILTIN_VERSION, so that no prediction cached
+        # by the old builtin is read as the new builtin's; then update both values here.
+        from geobench.cli import main
+
+        config = self.scoring_fixture(tmp_path)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+        assert len(list((tmp_path / "cache").glob("*.jsonl"))) == 4
+        assert (BUILTIN_VERSION, self.prediction_digest(tmp_path / "cache")) == (
+            1,
+            "b6ef19052f66c8891527e1424e34418cadf4a21f28dcb7acdc9733244696b44a",
+        )
+
+    def test_a_bumped_builtin_version_reparses_predictions_cached_by_the_old_builtin(self, tmp_path, monkeypatch):
+        config = load_run_config(self.scoring_fixture(tmp_path))
+        run_benchmark(config, tmp_path / "primed")
+        real_parse = BuiltinGeoparser.parse_document
+
+        def parse_without_flood(parser, document):  # a fix to the builtin: "Flood" is no place
+            predictions, dropped = real_parse(parser, document)
+            return [p for p in predictions if p.name.casefold() != "flood"], dropped
+
+        monkeypatch.setattr(BuiltinGeoparser, "parse_document", parse_without_flood)
+        run_benchmark(config, tmp_path / "fresh", use_cache=False)
+        assert self.output_digest(tmp_path / "fresh") != self.output_digest(tmp_path / "primed")
+        run_benchmark(config, tmp_path / "stale")  # the caches hide the fix until the version moves
+        assert self.output_digest(tmp_path / "stale") == self.output_digest(tmp_path / "primed")
+        monkeypatch.setattr(harness_module, "BUILTIN_VERSION", BUILTIN_VERSION + 1)
+        run_benchmark(config, tmp_path / "reparsed")
+        TestRunBenchmark.assert_same_run(tmp_path / "fresh" / "reports", tmp_path / "reparsed" / "reports")
+        TestRunBenchmark.assert_same_run(tmp_path / "fresh" / "leaderboards", tmp_path / "reparsed" / "leaderboards")
 
     def test_a_bumped_version_misses_scores_stored_by_the_old_scoring(self, tmp_path, monkeypatch):
         from geobench import metrics as metrics_module

@@ -391,10 +391,6 @@ class TestAccuracyAtThreshold:
     def test_empty_absent(self):
         assert accuracy_at_threshold([], 161.0) is None
 
-    def test_bad_threshold(self):
-        with pytest.raises(ValueError):
-            accuracy_at_threshold([1.0], 0.0)
-
     def test_antitone_in_distances_monotone_in_threshold(self):
         rng = random.Random(37)
         for _ in range(100):
