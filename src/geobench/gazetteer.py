@@ -1,9 +1,10 @@
 """Gazetteer ingestion and candidate lookup by normalized name.
 
 Reads tab-separated place tables, either in the standard 19-column GeoNames
-layout or with a user-supplied column map, and builds an in-memory index
-from normalized names (primary and alternate) to entries. The built
-gazetteer is immutable and safe for unlimited concurrent readers.
+layout or with a user-supplied column map, into parallel columns with one
+row per place, and builds an in-memory index from normalized names (primary
+and alternate) to rows. The built gazetteer is immutable and safe for
+unlimited concurrent readers.
 """
 
 from __future__ import annotations
@@ -11,11 +12,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import re
 import sys
 import threading
 import unicodedata
+from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 from .corpus import GeoPoint, gc_paused, is_json_int
@@ -33,6 +38,9 @@ GEONAMES_COLUMNS = {
     "population": 14,
 }
 _REQUIRED_COLUMNS = ("id", "name", "lat", "lon")
+
+# Ids and populations are held in 64-bit signed columns.
+_INT64 = range(-(2**63), 2**63)
 
 # A word: the recognizer's token, and the head of a name in the head table.
 WORD = re.compile(r"\w+")
@@ -56,6 +64,72 @@ class GazetteerEntry:
     def names(self):
         yield self.primary_name
         yield from self.alternate_names
+
+
+class PlaceColumns:
+    """Places as parallel columns, one row per place, in the order they were read.
+
+    Ids, coordinates and populations are held unboxed; the three
+    low-cardinality columns hold interned strings. A GazetteerEntry is
+    built from a row only when a caller asks for one.
+    """
+
+    __slots__ = ("ids", "names", "alternates", "lat", "lon", "feature_class", "feature_code", "population", "country")
+
+    def __init__(self):
+        self.ids = array("q")
+        self.names: list[str] = []
+        self.alternates: list[tuple[str, ...]] = []
+        self.lat = array("d")
+        self.lon = array("d")
+        self.feature_class: list[str] = []
+        self.feature_code: list[str] = []
+        self.population = array("q")
+        self.country: list[str] = []
+
+    def _columns(self) -> tuple:
+        # in the order of a digest row's fields
+        return (
+            self.ids,
+            self.names,
+            self.alternates,
+            self.lat,
+            self.lon,
+            self.feature_class,
+            self.feature_code,
+            self.population,
+            self.country,
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def append(self, *fields) -> None:
+        """Add a row: id, name, alternates, lat, lon, feature class, feature code, population, country."""
+        for column, value in zip(self._columns(), fields, strict=True):
+            column.append(value)
+
+    def fields(self, row: int) -> tuple:
+        """A row's values, in the order `append` takes them."""
+        return tuple(column[row] for column in self._columns())
+
+    def entries(self, rows) -> list[GazetteerEntry]:
+        """A new GazetteerEntry for each of `rows`, in their order."""
+        ids, names, alternates, lat, lon, fcl, fco, population, country = self._columns()
+        return [
+            GazetteerEntry(
+                ids[r], names[r], alternates[r], GeoPoint(lat[r], lon[r]), fcl[r], fco[r], population[r], country[r]
+            )
+            for r in rows
+        ]
+
+    def in_id_order(self) -> tuple:
+        """An iterable of each column's values in ascending id order: the columns themselves if the rows are."""
+        ids = self.ids
+        if all(map(operator.lt, ids, islice(ids, 1, None))):
+            return self._columns()
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        return tuple(map(column.__getitem__, order) for column in self._columns())
 
 
 @dataclass(slots=True)
@@ -85,48 +159,59 @@ def normalize_name(name: str, fold_diacritics: bool = False) -> str:
 
 
 class Gazetteer:
-    """Immutable place table with a normalized-name candidate index.
+    """Immutable place table, held as PlaceColumns, with a normalized-name candidate index.
 
-    The index maps every normalized primary and alternate name to the ids
-    of the entries carrying it; posting lists are kept in ascending id
+    The index maps every normalized primary and alternate name to the rows
+    of the places carrying it; posting lists are kept in ascending id
     order so that downstream tie-breaking is reproducible. The lexicon and
     head table the builtin recognizer reads are derived from the index on
     first use, never saved. A gazetteer loaded from a saved index parses
-    its entries and builds its index on first use as well.
+    its rows into columns and builds its index on first use as well.
+    GazetteerEntry values are built only for `entries`, `lookup` and
+    `geoparser.resolve_population`; a run reads the columns.
     """
 
-    def __init__(self, entries: dict[int, GazetteerEntry], index: dict[str, list[int]], fold_diacritics: bool):
+    def __init__(self, columns: PlaceColumns, index: dict[str, list[int]], fold_diacritics: bool):
         self.fold_diacritics = fold_diacritics
         self._digest: str | None = None
-        self._derived: dict = {"tables": (entries, index)}
+        self._derived: dict = {"tables": (columns, index)}
         # reentrant: deriving the lexicon reads `index`, which may itself be built on first use
         self._derive_lock = threading.RLock()
         self._unparsed: tuple[str, bytes] | None = None
 
     @classmethod
     def _from_index_body(cls, source: str, body: bytes, fold_diacritics: bool, digest: str) -> "Gazetteer":
-        """A gazetteer whose digest is known and whose rows are parsed on first use of `entries` or `index`."""
-        gazetteer = cls({}, {}, fold_diacritics)
+        """A gazetteer whose digest is known and whose rows are parsed on first use of `columns` or `index`."""
+        gazetteer = cls(PlaceColumns(), {}, fold_diacritics)
         del gazetteer._derived["tables"]
         gazetteer._digest = digest
         gazetteer._unparsed = (source, body)
         return gazetteer
 
     @property
-    def entries(self) -> dict[int, GazetteerEntry]:
+    def columns(self) -> PlaceColumns:
+        """The places, one row each; posting lists and the lexicon hold row numbers into these columns."""
         return self._derive("tables", self._parse_index_body)[0]
 
     @property
     def index(self) -> dict[str, list[int]]:
+        """Normalized name -> the rows of the places carrying it, in ascending id order."""
         return self._derive("tables", self._parse_index_body)[1]
+
+    @property
+    def entries(self) -> dict[int, GazetteerEntry]:
+        """Every place as a GazetteerEntry, keyed by id, in row order: built anew on each use."""
+        columns = self.columns
+        return dict(zip(columns.ids, columns.entries(range(len(columns)))))
 
     @classmethod
     def from_entries(cls, entries, fold_diacritics: bool = False) -> "Gazetteer":
-        """Build a gazetteer from GazetteerEntry values, validating each."""
-        by_id: dict[int, GazetteerEntry] = {}
+        """Build a gazetteer from GazetteerEntry values, validating each: a builder for tests and tools."""
+        columns = PlaceColumns()
+        seen: set[int] = set()
         index: dict[str, list[int]] = {}
         for entry in entries:
-            if entry.id in by_id:
+            if entry.id in seen:
                 raise GazetteerError(f"duplicate entry id {entry.id}")
             if not entry.primary_name:
                 raise GazetteerError(f"entry {entry.id}: empty primary name")
@@ -134,21 +219,31 @@ class Gazetteer:
                 raise GazetteerError(f"entry {entry.id}: negative population")
             if not entry.point.is_valid():
                 raise GazetteerError(f"entry {entry.id}: coordinate out of range: {entry.point}")
-            by_id[entry.id] = entry
-            _index_names(index, entry.id, (entry.primary_name, *entry.alternate_names), fold_diacritics)
+            seen.add(entry.id)
+            _index_names(index, len(columns), entry.names(), fold_diacritics)
+            columns.append(
+                entry.id,
+                entry.primary_name,
+                entry.alternate_names,
+                entry.point.lat,
+                entry.point.lon,
+                entry.feature_class,
+                entry.feature_code,
+                entry.population,
+                entry.country,
+            )
         for postings in index.values():
-            postings.sort()
-        return cls(by_id, index, fold_diacritics)
+            postings.sort(key=columns.ids.__getitem__)
+        return cls(columns, index, fold_diacritics)
 
     def lookup(self, name: str) -> list[GazetteerEntry]:
         """Entries whose primary or alternate normalized name equals the query, ascending id."""
-        ids = self.index.get(normalize_name(name, self.fold_diacritics), ())
-        return [self.entries[i] for i in ids]
+        return self.columns.entries(self.index.get(normalize_name(name, self.fold_diacritics), ()))
 
-    def lexicon(self, primary_only: bool = False) -> dict[str, GazetteerEntry]:
-        """Normalized name -> its resolved entry: the most populous candidate, smallest id on ties.
+    def lexicon(self, primary_only: bool = False) -> dict[str, int]:
+        """Normalized name -> the row of its resolved place: the most populous candidate, smallest id on ties.
 
-        With `primary_only`, a name's candidates are only the entries whose
+        With `primary_only`, a name's candidates are only the places whose
         normalized primary name it is; names left with none are omitted.
         Built on first use and memoized per flag.
         """
@@ -173,7 +268,7 @@ class Gazetteer:
                     table = self._derived[slot] = build()
         return table
 
-    def _parse_index_body(self) -> tuple[dict[int, GazetteerEntry], dict[str, list[int]]]:
+    def _parse_index_body(self) -> tuple[PlaceColumns, dict[str, list[int]]]:
         source, body = self._unparsed
         stats = IngestStats()
         with gc_paused():
@@ -183,25 +278,26 @@ class Gazetteer:
                 raise GazetteerError(f"{source}: malformed index rows: {exc}") from None
             # "\n" only: str.splitlines would also break names at U+0085, U+2028 or "\x1c"
             lines = text.removesuffix("\n").split("\n")
-            entries, index = _read_rows(lines, _DIGEST_COLUMNS, self.fold_diacritics, stats)
+            columns, index = _read_rows(lines, _DIGEST_COLUMNS, self.fold_diacritics, stats)
             if stats.rows_skipped:  # a repeated id too
                 raise GazetteerError(f"{source}: {stats.rows_skipped} malformed index rows {stats.skip_reasons}")
-        self._unparsed = None  # the entries replace the body bytes
-        return entries, index
+        self._unparsed = None  # the columns replace the body bytes
+        return columns, index
 
-    def _resolve_names(self, primary_only: bool) -> dict[str, GazetteerEntry]:
-        entries = self.entries
+    def _resolve_names(self, primary_only: bool) -> dict[str, int]:
+        columns = self.columns
         if primary_only:
-            primary = {i: normalize_name(e.primary_name, self.fold_diacritics) for i, e in entries.items()}
+            primary = [normalize_name(name, self.fold_diacritics) for name in columns.names]
+        population = columns.population.__getitem__
         lexicon = {}
-        for key, ids in self.index.items():
+        for key, rows in self.index.items():
             if primary_only:
-                ids = [i for i in ids if primary[i] == key]
-            if len(ids) == 1:
-                lexicon[key] = entries[ids[0]]
-            elif ids:
+                rows = [row for row in rows if primary[row] == key]
+            if len(rows) == 1:
+                lexicon[key] = rows[0]
+            elif rows:
                 # postings ascend by id, so max() keeps the smallest id on ties
-                lexicon[key] = max((entries[i] for i in ids), key=lambda e: e.population)
+                lexicon[key] = max(rows, key=population)
         return lexicon
 
     def _head_limits(self) -> dict[str, int]:
@@ -216,21 +312,20 @@ class Gazetteer:
         return heads
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.columns.ids)
 
     def digest(self) -> str:
-        """Content digest over all entries, in id order, and the fold flag (memoized).
+        """Content digest over all places, in id order, and the fold flag (memoized).
 
-        The first call renders each entry's digest row in id order and
-        hashes the rows. A gazetteer from `load_index` already knows its
-        digest: the index header holds it, and the load checked it against
-        the body bytes.
+        The first call renders each place's digest row from the columns in
+        id order and hashes the rows. A gazetteer from `load_index` already
+        knows its digest: the index header holds it, and the load checked
+        it against the body bytes.
         """
         if self._digest is None:
             h = _digest_hasher(self.fold_diacritics)
-            entries = self.entries
-            for entry_id in sorted(entries):
-                h.update(_digest_row(entries[entry_id]).encode("utf-8"))
+            for line in _digest_rows(self.columns):
+                h.update(line.encode("utf-8"))
             self._digest = h.hexdigest()
         return self._digest
 
@@ -239,13 +334,10 @@ def _digest_hasher(fold_diacritics: bool):
     return hashlib.sha256(f"fold={fold_diacritics}\n".encode())
 
 
-def _digest_row(e: GazetteerEntry) -> str:
-    """The line `digest()` hashes for an entry; a saved index's body is these lines in id order."""
-    return (
-        f"{e.id}\t{e.primary_name}\t{','.join(e.alternate_names)}\t"
-        f"{e.point.lat!r}\t{e.point.lon!r}\t{e.feature_class}\t"
-        f"{e.feature_code}\t{e.population}\t{e.country}\n"
-    )
+def _digest_rows(columns: PlaceColumns) -> Iterator[str]:
+    """The lines `digest()` hashes, one per place in id order; a saved index's body is these lines."""
+    for entry_id, name, alternates, lat, lon, fcl, fco, population, country in zip(*columns.in_id_order()):
+        yield f"{entry_id}\t{name}\t{','.join(alternates)}\t{lat!r}\t{lon!r}\t{fcl}\t{fco}\t{population}\t{country}\n"
 
 
 # The fields of a digest row, as a column map for the row parser.
@@ -279,11 +371,11 @@ def _check_schema(schema) -> dict:
     return schema
 
 
-def _index_names(index: dict[str, list[int]], entry_id: int, names: tuple[str, ...], fold_diacritics: bool) -> None:
-    """Add an entry's id to the posting list of each of its normalized names (the one indexing rule).
+def _index_names(index: dict[str, list[int]], row: int, names, fold_diacritics: bool) -> None:
+    """Add a place's row to the posting list of each of its normalized names (the one indexing rule).
 
-    A posting list stays in ascending id order while entries come in
-    ascending id order; otherwise the caller sorts it afterwards.
+    A posting list stays in ascending id order while places come in
+    ascending id order; otherwise the caller sorts it by id afterwards.
     """
     for name in names:
         key = " ".join(name.split()).casefold()  # normalize_name, inlined: this runs for every name of every row
@@ -292,18 +384,20 @@ def _index_names(index: dict[str, list[int]], entry_id: int, names: tuple[str, .
         if key:
             postings = index.get(key)
             if postings is None:
-                index[key] = [entry_id]
-            elif postings[-1] != entry_id:
-                postings.append(entry_id)
+                index[key] = [row]
+            elif postings[-1] != row:
+                postings.append(row)
 
 
 def _read_rows(lines, cols: dict, fold_diacritics: bool, stats: IngestStats):
-    """The one reader of tab-separated place rows: returns (entries by id, name index).
+    """The one reader of tab-separated place rows: returns (place columns, name index).
 
     In one pass over the lines, each row is parsed and validated, a row
-    repeating an earlier id is skipped, and the entry is added to the name
-    index. Invalid and repeated rows are tallied in `stats`. Posting lists
-    are sorted afterwards only if some id came in lower than the one before.
+    repeating an earlier id is skipped, and the place is appended to the
+    columns in row order and its row added to the name index. No
+    GazetteerEntry is built. Invalid and repeated rows are tallied in
+    `stats`. Posting lists are sorted by id afterwards only if some id did
+    not come in above every id before it.
     """
     id_c, name_c = cols["id"], cols["name"]
     lat_c, lon_c = cols["lat"], cols["lon"]
@@ -315,10 +409,15 @@ def _read_rows(lines, cols: dict, fold_diacritics: bool, stats: IngestStats):
     max_col = max(cols.values())
     split_at = max_col + 1  # columns past the last one read stay in one unsplit tail
     intern = sys.intern
-    entries: dict[int, GazetteerEntry] = {}
+    columns = PlaceColumns()
+    ids = columns.ids
+    # one bound append per column: this loop runs for every row of the table
+    add_id, add_name, add_alternates, add_lat, add_lon, add_fcl, add_fco, add_population, add_country = (
+        column.append for column in columns._columns()
+    )
     index: dict[str, list[int]] = {}
-    ascending = True
-    last_id = -math.inf
+    top = -math.inf  # the highest id so far
+    seen = None  # the ids so far, gathered once an id comes in not above `top`: only such an id can repeat one
     for line in lines:
         stats.rows_read += 1
         parts = line.split("\t", split_at)
@@ -330,6 +429,9 @@ def _read_rows(lines, cols: dict, fold_diacritics: bool, stats: IngestStats):
         try:
             entry_id = int(parts[id_c])
         except ValueError:
+            stats.skip("bad id")
+            continue
+        if entry_id not in _INT64:
             stats.skip("bad id")
             continue
         name = parts[name_c].strip()
@@ -352,35 +454,38 @@ def _read_rows(lines, cols: dict, fold_diacritics: bool, stats: IngestStats):
             except ValueError:
                 stats.skip("bad population")
                 continue
-            if population < 0:
+            if population < 0 or population not in _INT64:
                 stats.skip("bad population")
                 continue
-        if entry_id in entries:
-            stats.skip("duplicate id")
-            continue
+        if entry_id > top:
+            top = entry_id
+        else:
+            if seen is None:
+                seen = set(ids)
+            if entry_id in seen:
+                stats.skip("duplicate id")
+                continue
+        if seen is not None:
+            seen.add(entry_id)
         alternates = ()
         if alt_c is not None and parts[alt_c]:
             alternates = tuple(a.strip() for a in parts[alt_c].split(",") if a.strip())
-        # positional: passed as keywords, these arguments made the call about 1.5 times as slow
-        entries[entry_id] = GazetteerEntry(
-            entry_id,
-            name,
-            alternates,
-            GeoPoint(lat, lon),
-            # few distinct values over many rows: one shared string each
-            intern(parts[fcl_c].strip()) if fcl_c is not None else "",
-            intern(parts[fco_c].strip()) if fco_c is not None else "",
-            population,
-            intern(parts[cty_c].strip()) if cty_c is not None else "",
-        )
-        _index_names(index, entry_id, (name, *alternates), fold_diacritics)
-        if entry_id < last_id:
-            ascending = False
-        last_id = entry_id
-    if not ascending:
+        _index_names(index, len(ids), (name, *alternates), fold_diacritics)
+        add_id(entry_id)
+        add_name(name)
+        add_alternates(alternates)
+        add_lat(lat)
+        add_lon(lon)
+        # few distinct values over many rows: one shared string each
+        add_fcl(intern(parts[fcl_c].strip()) if fcl_c is not None else "")
+        add_fco(intern(parts[fco_c].strip()) if fco_c is not None else "")
+        add_population(population)
+        add_country(intern(parts[cty_c].strip()) if cty_c is not None else "")
+    if seen is not None:
+        by_id = ids.__getitem__
         for postings in index.values():
-            postings.sort()
-    return entries, index
+            postings.sort(key=by_id)
+    return columns, index
 
 
 def ingest_gazetteer(
@@ -395,9 +500,10 @@ def ingest_gazetteer(
     skipped and tallied in the returned IngestStats, not fatal; an
     unreadable file or zero valid rows is.
 
-    The same pass builds the entries and the name index. It hashes
-    nothing: the gazetteer's `digest()` is computed on its first call, so
-    a caller that needs no cache key never pays for it.
+    The same pass, reading the file line by line, fills the place columns
+    and the name index; it builds no GazetteerEntry. It hashes nothing: the
+    gazetteer's `digest()` is computed on its first call, so a caller that
+    needs no cache key never pays for it.
     """
     cols = _check_schema(schema)
     stats = IngestStats()
@@ -406,15 +512,15 @@ def ingest_gazetteer(
     except OSError as exc:
         raise GazetteerError(f"cannot read gazetteer file {path}: {exc}") from exc
     with fh, gc_paused():
-        entries, index = _read_rows(fh, cols, fold_diacritics, stats)
-    stats.rows_ingested = len(entries)
-    if not entries:
+        columns, index = _read_rows(fh, cols, fold_diacritics, stats)
+    stats.rows_ingested = len(columns)
+    if not columns:
         raise GazetteerError(f"no valid rows in gazetteer file {path}")
-    return Gazetteer(entries, index, fold_diacritics), stats
+    return Gazetteer(columns, index, fold_diacritics), stats
 
 
 # A saved index is this JSON header line, which also holds the fold flag and
-# the digest, followed by the digest rows of all entries in id order: the
+# the digest, followed by the digest rows of all places in id order: the
 # body is exactly what `digest()` hashes after its fold line. An index
 # without this layout marker predates it.
 _INDEX_HEADER = {"format": "geobench-index", "layout": "digest-rows"}
@@ -423,18 +529,18 @@ _INDEX_HEADER = {"format": "geobench-index", "layout": "digest-rows"}
 def save_index(gazetteer: Gazetteer, path: str | Path) -> None:
     """Write a built gazetteer to an index file reloadable by load_index.
 
-    Raises GazetteerError, naming the entry, if an entry would not read
+    Raises GazetteerError, naming the entry, if a place would not read
     back equal to itself (say, a name with a tab or an alternate name with
     a comma).
     """
-    entries = gazetteer.entries
-    ids = sorted(entries)
-    rows = [_digest_row(entries[entry_id]) for entry_id in ids]
+    columns = gazetteer.columns
+    rows = list(_digest_rows(columns))
     # all checked before the file is opened, so a refused entry leaves no partial index
     reread, _ = _read_rows(rows, _DIGEST_COLUMNS, gazetteer.fold_diacritics, IngestStats())
-    for entry_id, row in zip(ids, rows):
-        if row.count("\n") != 1 or reread.get(entry_id) != entries[entry_id]:
-            raise GazetteerError(f"entry {entry_id} cannot be saved: its fields do not survive an index row")
+    # the rows are in id order, so each row read back sits at its own position until the first that does not
+    for position, (fields, line) in enumerate(zip(zip(*columns.in_id_order()), rows)):
+        if line.count("\n") != 1 or position >= len(reread) or reread.fields(position) != fields:
+            raise GazetteerError(f"entry {fields[0]} cannot be saved: its fields do not survive an index row")
     body = "".join(rows).encode("utf-8")
     h = _digest_hasher(gazetteer.fold_diacritics)
     h.update(body)
@@ -448,8 +554,8 @@ def load_index(path: str | Path) -> Gazetteer:
     """Reload a gazetteer written by save_index.
 
     The body is checked against the digest in the header, and a file that
-    fails the check is refused. Its rows are parsed only when the
-    gazetteer's entries or name index are first used, so a caller that
+    fails the check is refused. Its rows are parsed into columns only when
+    the gazetteer's columns or name index are first used, so a caller that
     needs only `digest()` pays for one read and one hash.
     """
     try:

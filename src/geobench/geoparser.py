@@ -213,10 +213,10 @@ def resolve_population(name: str, gazetteer: Gazetteer, primary_only: bool = Fal
 
     Raises NoCandidateError when the gazetteer has no entry for the name.
     """
-    entry = gazetteer.lexicon(primary_only).get(normalize_name(name, gazetteer.fold_diacritics))
-    if entry is None:
+    row = gazetteer.lexicon(primary_only).get(normalize_name(name, gazetteer.fold_diacritics))
+    if row is None:
         raise NoCandidateError(name)
-    return entry
+    return gazetteer.columns.entries((row,))[0]
 
 
 class BuiltinGeoparser:
@@ -233,10 +233,13 @@ class BuiltinGeoparser:
     def parse_document(self, document: Document) -> tuple[list[PredictedToponym], int]:
         text = document.text
         lexicon = self.gazetteer.lexicon(self.config.primary_names_only)
+        columns = self.gazetteer.columns
+        ids, lat, lon = columns.ids, columns.lat, columns.lon
         predictions = []
         for start, end, key in _matches(text, self.gazetteer, self.config):
-            entry = lexicon[key]
-            predictions.append(PredictedToponym(start, end, text[start:end], point=entry.point, entry_id=entry.id))
+            row = lexicon[key]
+            point = GeoPoint(lat[row], lon[row])
+            predictions.append(PredictedToponym(start, end, text[start:end], point=point, entry_id=ids[row]))
         return predictions, 0
 
     def close(self) -> None:

@@ -8,6 +8,7 @@ import json
 import math
 import random
 import time
+import tracemalloc
 from contextlib import contextmanager
 
 import pytest
@@ -363,6 +364,24 @@ def test_million_row_gazetteer_scale(tmp_path):
         for query in sampled:
             expected_ids = sorted(scanned[normalize_name(query)])
             assert [e.id for e in gazetteer.lookup(query)] == expected_ids
+
+
+def test_ingested_rows_hold_little_memory(tmp_path):
+    # a floor, not a target: with the places in columns an ingested row holds about 470 bytes (the name index
+    # included); one GazetteerEntry and one GeoPoint per row held about 640
+    with criterion("scale: a 20k-row ingest holds < 550 bytes per row afterwards"):
+        table = tmp_path / "table.tsv"
+        expected_valid = generate_big_table(table, total_rows=20_000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            gazetteer, _ = ingest_gazetteer(table)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(gazetteer) == expected_valid
+        per_row = held / expected_valid
+        assert per_row < 550, f"an ingested row holds {per_row:.0f} bytes"
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from geobench import GazetteerError, ingest_gazetteer, load_index, save_index
 from geobench.corpus import Corpus, Document, GeoPoint
 from geobench import gazetteer as gazetteer_module
 from geobench.gazetteer import Gazetteer, GazetteerEntry, normalize_name
-from geobench.geoparser import GeoparserSpec
+from geobench.geoparser import BuiltinGeoparser, GeoparserSpec, create_geoparser, resolve_population
 from geobench.harness import CorpusSource, RunConfig, _cache_path, run_benchmark
 from helpers import geonames_row, write_corpus_files
 
@@ -105,6 +105,19 @@ class TestIngest:
             "bad population": 2,
             "duplicate id": 1,
         }
+
+    def test_values_beyond_64_bits_skipped(self, tmp_path):
+        path = tmp_path / "gaz.tsv"
+        rows = [
+            geonames_row(2**63, "BigId", 1.0, 1.0),
+            geonames_row(-(2**63) - 1, "SmallId", 1.0, 1.0),
+            geonames_row(3, "BigPop", 1.0, 1.0, population=2**63),
+            geonames_row(2**63 - 1, "Edge", 1.0, 1.0, population=2**63 - 1),
+        ]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        gazetteer, stats = ingest_gazetteer(path)
+        assert stats.skip_reasons == {"bad id": 2, "bad population": 1}
+        assert [(e.id, e.population) for e in gazetteer.lookup("edge")] == [(2**63 - 1, 2**63 - 1)]
 
     def test_alternates_indexed(self, tmp_path):
         path = tmp_path / "gaz.tsv"
@@ -284,7 +297,9 @@ class TestDigest:
     def test_unsorted_ingest_keeps_posting_lists_ascending(self, tmp_path):
         rows = [geonames_row(i, "Springfield", 1.0, 1.0, alternates="Shelbyville") for i in (9, 3, 7, 1)]
         gazetteer, _ = ingest_gazetteer(write_rows(tmp_path / "gaz.tsv", rows))
-        assert gazetteer.index == {"springfield": [1, 3, 7, 9], "shelbyville": [1, 3, 7, 9]}
+        assert sorted(gazetteer.index) == ["shelbyville", "springfield"]
+        for name in ("Springfield", "Shelbyville"):
+            assert [e.id for e in gazetteer.lookup(name)] == [1, 3, 7, 9]
 
 
 class TestLookup:
@@ -344,10 +359,12 @@ class TestProperties:
 
     def test_posting_lists_ascending(self):
         rng = random.Random(17)
-        _, gazetteer = random_gazetteer(rng, 500)
-        for postings in gazetteer.index.values():
-            assert postings == sorted(postings)
-            assert len(postings) == len(set(postings))
+        entries, _ = random_gazetteer(rng, 500)
+        rng.shuffle(entries)  # rows out of id order
+        gazetteer = Gazetteer.from_entries(entries)
+        for key in gazetteer.index:
+            ids = [e.id for e in gazetteer.lookup(key)]
+            assert ids == sorted(set(ids))
 
 
 class TestFromEntries:
@@ -433,8 +450,7 @@ class TestIndexFile:
             load_index(path)
 
     def test_index_body_repeating_an_id_is_refused_when_parsed(self, tmp_path):
-        rows = [GazetteerEntry(1, "A", (), GeoPoint(0, 0)), GazetteerEntry(1, "B", (), GeoPoint(1, 1))]
-        body = "".join(gazetteer_module._digest_row(e) for e in rows).encode("utf-8")
+        body = b"1\tA\t\t0.0\t0.0\t\t\t0\t\n1\tB\t\t1.0\t1.0\t\t\t0\t\n"  # two digest rows with id 1
         h = gazetteer_module._digest_hasher(False)
         h.update(body)
         header = {**gazetteer_module._INDEX_HEADER, "fold_diacritics": False, "digest": h.hexdigest()}
@@ -566,6 +582,28 @@ class TestBuildCost:
         finally:
             (gc.enable if was_enabled else gc.disable)()
 
+    def test_a_builtin_run_over_an_ingested_table_builds_no_entry(self, tmp_path, monkeypatch):
+        built = []
+        real_init = GazetteerEntry.__init__
+
+        def counting_init(entry, entry_id, *args, **kwargs):
+            built.append(entry_id)
+            real_init(entry, entry_id, *args, **kwargs)
+
+        monkeypatch.setattr(GazetteerEntry, "__init__", counting_init)
+        gazetteer, _ = ingest_gazetteer(write_rows(tmp_path / "gaz.tsv", keyed_rows(ascending=False)))
+        assert gazetteer.digest() == KEYED_DIGESTS[False]
+        assert gazetteer.lexicon() and gazetteer.lexicon(primary_only=True) and gazetteer.head_limits()
+        documents = [Document("a", "From Paris to Zürich and Ōsaka.", ()), Document("b", "Sampa, then Paname.", ())]
+        predicted = []
+        for parameters in ({}, {"primary_names_only": True}):
+            parser = create_geoparser(GeoparserSpec("builtin-baseline", "b", parameters), gazetteer)
+            predicted.append([p.entry_id for document in documents for p in parser.parse_document(document)[0]])
+        assert predicted == [[20, 30, 5, 10, 20], [20, 30, 5]]
+        assert built == []
+        assert [e.id for e in gazetteer.lookup("Paris")] == [20]
+        assert built == [20]  # the wrapper sees the entries that are built
+
     def test_loading_derives_no_lexicon(self, tmp_path, monkeypatch):
         def refuse(self, *args):
             raise AssertionError("derived table built while loading")
@@ -582,10 +620,11 @@ class TestLexicon:
         _, gazetteer = random_gazetteer(random.Random(23), 200)
         lexicon = gazetteer.lexicon()
         assert lexicon.keys() == gazetteer.index.keys()
-        for key, entry in lexicon.items():
+        for key, row in lexicon.items():
             candidates = gazetteer.lookup(key)
             best = max(e.population for e in candidates)
-            assert entry == min((e for e in candidates if e.population == best), key=lambda e: e.id)
+            expected = min((e for e in candidates if e.population == best), key=lambda e: e.id)
+            assert gazetteer.columns.entries([row]) == [expected]
 
     def test_primary_only_keeps_primary_names(self):
         entries = [
@@ -593,10 +632,33 @@ class TestLexicon:
             GazetteerEntry(2, "Lutetia", ("Paris",), GeoPoint(48.85, 2.34), population=9_000_000),
         ]
         gazetteer = Gazetteer.from_entries(entries)
-        assert gazetteer.lexicon()["paris"].id == 2
-        assert gazetteer.lexicon(primary_only=True)["paris"].id == 1
+        ids = gazetteer.columns.ids
+        assert ids[gazetteer.lexicon()["paris"]] == 2
+        assert ids[gazetteer.lexicon(primary_only=True)["paris"]] == 1
         assert "paname" not in gazetteer.lexicon(primary_only=True)
         assert gazetteer.lexicon() is gazetteer.lexicon()
+
+    def test_ties_on_an_unsorted_table_resolve_to_the_smallest_id(self, tmp_path):
+        # ids descend, so the first row of each tie is its largest id
+        rows = [
+            geonames_row(40, "Springfield", 40.0, -40.0, population=500, alternates="Ogdenville"),
+            geonames_row(30, "Springfield", 30.0, -30.0, population=500, alternates="Ogdenville"),
+            geonames_row(20, "Springfield", 20.0, -20.0, population=100, alternates="Ogdenville"),
+            geonames_row(30, "Springfield", 35.0, -35.0, population=900),  # repeats id 30: skipped
+            geonames_row(10, "Shelbyville", 10.0, -10.0, population=500),
+        ]
+        gazetteer, stats = ingest_gazetteer(write_rows(tmp_path / "gaz.tsv", rows))
+        assert stats.skip_reasons == {"duplicate id": 1}
+        for name, primary_only in [("Springfield", False), ("Springfield", True), ("Ogdenville", False)]:
+            assert resolve_population(name, gazetteer, primary_only).id == 30
+            assert gazetteer.columns.ids[gazetteer.lexicon(primary_only)[normalize_name(name)]] == 30
+        predictions, _ = BuiltinGeoparser(gazetteer).parse_document(Document("d", "Springfield or Ogdenville?", ()))
+        assert [(p.name, p.entry_id, p.point) for p in predictions] == [
+            ("Springfield", 30, GeoPoint(30.0, -30.0)),
+            ("Ogdenville", 30, GeoPoint(30.0, -30.0)),
+        ]
+        by_id = sorted(rows, key=lambda row: int(row.split("\t", 1)[0]))  # stable: the first id 30 stays first
+        assert gazetteer.digest() == ingest_gazetteer(write_rows(tmp_path / "sorted.tsv", by_id))[0].digest()
 
     def test_head_limits(self):
         entries = [
