@@ -219,6 +219,8 @@ class Gazetteer:
                 raise GazetteerError(f"entry {entry.id}: negative population")
             if not entry.point.is_valid():
                 raise GazetteerError(f"entry {entry.id}: coordinate out of range: {entry.point}")
+            if entry.id not in _INT64 or entry.population not in _INT64:
+                raise GazetteerError(f"entry {entry.id}: id or population outside 64 bits")
             seen.add(entry.id)
             _index_names(index, len(columns), entry.names(), fold_diacritics)
             columns.append(

@@ -385,6 +385,15 @@ class TestFromEntries:
         with pytest.raises(GazetteerError, match="negative population"):
             Gazetteer.from_entries([GazetteerEntry(1, "A", (), GeoPoint(0, 0), population=-1)])
 
+    @pytest.mark.parametrize(
+        "entry",
+        [GazetteerEntry(2**63, "A", (), GeoPoint(0, 0)), GazetteerEntry(1, "A", (), GeoPoint(0, 0), population=2**63)],
+        ids=["id", "population"],
+    )
+    def test_values_beyond_64_bits_rejected(self, entry):
+        with pytest.raises(GazetteerError, match="outside 64 bits"):
+            Gazetteer.from_entries([entry])
+
 
 class TestIndexFile:
     def test_save_load_round_trip(self, tmp_path):
