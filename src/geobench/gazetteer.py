@@ -9,6 +9,7 @@ unlimited concurrent readers.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
@@ -19,7 +20,7 @@ import threading
 import unicodedata
 from array import array
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import islice
 from pathlib import Path
 
@@ -40,7 +41,7 @@ GEONAMES_COLUMNS = {
 _REQUIRED_COLUMNS = ("id", "name", "lat", "lon")
 
 # Ids and populations are held in 64-bit signed columns.
-_INT64 = range(-(2**63), 2**63)
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 # A word: the recognizer's token, and the head of a name in the head table.
 WORD = re.compile(r"\w+")
@@ -64,6 +65,11 @@ class GazetteerEntry:
     def names(self):
         yield self.primary_name
         yield from self.alternate_names
+
+
+# The slot setters of each dataclass, in field order.
+_ENTRY_SLOTS = tuple(GazetteerEntry.__dict__[f.name].__set__ for f in fields(GazetteerEntry))
+_POINT_SLOTS = tuple(GeoPoint.__dict__[f.name].__set__ for f in fields(GeoPoint))
 
 
 class PlaceColumns:
@@ -114,22 +120,45 @@ class PlaceColumns:
         return tuple(column[row] for column in self._columns())
 
     def entries(self, rows) -> list[GazetteerEntry]:
-        """A new GazetteerEntry for each of `rows`, in their order."""
-        ids, names, alternates, lat, lon, fcl, fco, population, country = self._columns()
-        return [
-            GazetteerEntry(
-                ids[r], names[r], alternates[r], GeoPoint(lat[r], lon[r]), fcl[r], fco[r], population[r], country[r]
-            )
-            for r in rows
-        ]
+        """A new GazetteerEntry for each of `rows`, in their order.
 
-    def in_id_order(self) -> tuple:
-        """An iterable of each column's values in ascending id order: the columns themselves if the rows are."""
+        Each field goes straight into its slot: a frozen dataclass's
+        __init__ sets every field through object.__setattr__, which would
+        cost `Gazetteer.lookup` more than reading the row does.
+        """
+        set_id, set_name, set_alternates, set_point, set_fcl, set_fco, set_population, set_country = _ENTRY_SLOTS
+        set_lat, set_lon = _POINT_SLOTS
+        new_entry, new_point = GazetteerEntry.__new__, GeoPoint.__new__
+        ids, names, alternates, lat, lon, fcl, fco, population, country = self._columns()
+        built = []
+        for r in rows:
+            point = new_point(GeoPoint)
+            set_lat(point, lat[r])
+            set_lon(point, lon[r])
+            entry = new_entry(GazetteerEntry)
+            set_id(entry, ids[r])
+            set_name(entry, names[r])
+            set_alternates(entry, alternates[r])
+            set_point(entry, point)
+            set_fcl(entry, fcl[r])
+            set_fco(entry, fco[r])
+            set_population(entry, population[r])
+            set_country(entry, country[r])
+            built.append(entry)
+        return built
+
+    def id_order(self) -> list[int] | None:
+        """The row numbers in ascending id order, or None if the rows already are in it."""
         ids = self.ids
         if all(map(operator.lt, ids, islice(ids, 1, None))):
-            return self._columns()
-        order = sorted(range(len(ids)), key=ids.__getitem__)
-        return tuple(map(column.__getitem__, order) for column in self._columns())
+            return None
+        return sorted(range(len(ids)), key=ids.__getitem__)
+
+    def in_id_order(self, order: list[int] | None) -> Iterator[tuple]:
+        """Each row's values, as `fields` gives them, in the order `id_order` returned."""
+        if order is None:
+            return zip(*self._columns())
+        return zip(*(map(column.__getitem__, order) for column in self._columns()))
 
 
 @dataclass(slots=True)
@@ -219,8 +248,8 @@ class Gazetteer:
                 raise GazetteerError(f"entry {entry.id}: negative population")
             if not entry.point.is_valid():
                 raise GazetteerError(f"entry {entry.id}: coordinate out of range: {entry.point}")
-            if entry.id not in _INT64 or entry.population not in _INT64:
-                raise GazetteerError(f"entry {entry.id}: id or population outside 64 bits")
+            if not all(isinstance(v, int) and _INT64_MIN <= v <= _INT64_MAX for v in (entry.id, entry.population)):
+                raise GazetteerError(f"entry {entry.id}: id or population is not an integer within 64 bits")
             seen.add(entry.id)
             _index_names(index, len(columns), entry.names(), fold_diacritics)
             columns.append(
@@ -239,8 +268,20 @@ class Gazetteer:
         return cls(columns, index, fold_diacritics)
 
     def lookup(self, name: str) -> list[GazetteerEntry]:
-        """Entries whose primary or alternate normalized name equals the query, ascending id."""
-        return self.columns.entries(self.index.get(normalize_name(name, self.fold_diacritics), ()))
+        """Entries whose primary or alternate normalized name equals the query, ascending id.
+
+        The entries are built anew on each call, with the collector held
+        off: they form no cycles, and a caller that keeps the candidates of
+        many lookups would otherwise run a collection every few calls, now
+        and then a full one over all it keeps.
+        """
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return self.columns.entries(self.index.get(normalize_name(name, self.fold_diacritics), ()))
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def lexicon(self, primary_only: bool = False) -> dict[str, int]:
         """Normalized name -> the row of its resolved place: the most populous candidate, smallest id on ties.
@@ -326,7 +367,8 @@ class Gazetteer:
         """
         if self._digest is None:
             h = _digest_hasher(self.fold_diacritics)
-            for line in _digest_rows(self.columns):
+            columns = self.columns
+            for line in _digest_rows(columns.in_id_order(columns.id_order())):
                 h.update(line.encode("utf-8"))
             self._digest = h.hexdigest()
         return self._digest
@@ -336,9 +378,12 @@ def _digest_hasher(fold_diacritics: bool):
     return hashlib.sha256(f"fold={fold_diacritics}\n".encode())
 
 
-def _digest_rows(columns: PlaceColumns) -> Iterator[str]:
-    """The lines `digest()` hashes, one per place in id order; a saved index's body is these lines."""
-    for entry_id, name, alternates, lat, lon, fcl, fco, population, country in zip(*columns.in_id_order()):
+def _digest_rows(places) -> Iterator[str]:
+    """The lines `digest()` hashes, one per place of `places` (`PlaceColumns.in_id_order`).
+
+    A saved index's body is these lines.
+    """
+    for entry_id, name, alternates, lat, lon, fcl, fco, population, country in places:
         yield f"{entry_id}\t{name}\t{','.join(alternates)}\t{lat!r}\t{lon!r}\t{fcl}\t{fco}\t{population}\t{country}\n"
 
 
@@ -398,8 +443,8 @@ def _read_rows(lines, cols: dict, fold_diacritics: bool, stats: IngestStats):
     repeating an earlier id is skipped, and the place is appended to the
     columns in row order and its row added to the name index. No
     GazetteerEntry is built. Invalid and repeated rows are tallied in
-    `stats`. Posting lists are sorted by id afterwards only if some id did
-    not come in above every id before it.
+    `stats`. Posting lists are sorted by id afterwards only if some id came
+    in lower than the one before.
     """
     id_c, name_c = cols["id"], cols["name"]
     lat_c, lon_c = cols["lat"], cols["lon"]
@@ -418,8 +463,9 @@ def _read_rows(lines, cols: dict, fold_diacritics: bool, stats: IngestStats):
         column.append for column in columns._columns()
     )
     index: dict[str, list[int]] = {}
-    top = -math.inf  # the highest id so far
-    seen = None  # the ids so far, gathered once an id comes in not above `top`: only such an id can repeat one
+    seen: set[int] = set()
+    ascending = True
+    last_id = -math.inf
     for line in lines:
         stats.rows_read += 1
         parts = line.split("\t", split_at)
@@ -433,7 +479,7 @@ def _read_rows(lines, cols: dict, fold_diacritics: bool, stats: IngestStats):
         except ValueError:
             stats.skip("bad id")
             continue
-        if entry_id not in _INT64:
+        if not _INT64_MIN <= entry_id <= _INT64_MAX:
             stats.skip("bad id")
             continue
         name = parts[name_c].strip()
@@ -456,19 +502,13 @@ def _read_rows(lines, cols: dict, fold_diacritics: bool, stats: IngestStats):
             except ValueError:
                 stats.skip("bad population")
                 continue
-            if population < 0 or population not in _INT64:
+            if not 0 <= population <= _INT64_MAX:
                 stats.skip("bad population")
                 continue
-        if entry_id > top:
-            top = entry_id
-        else:
-            if seen is None:
-                seen = set(ids)
-            if entry_id in seen:
-                stats.skip("duplicate id")
-                continue
-        if seen is not None:
-            seen.add(entry_id)
+        if entry_id in seen:
+            stats.skip("duplicate id")
+            continue
+        seen.add(entry_id)
         alternates = ()
         if alt_c is not None and parts[alt_c]:
             alternates = tuple(a.strip() for a in parts[alt_c].split(",") if a.strip())
@@ -483,7 +523,10 @@ def _read_rows(lines, cols: dict, fold_diacritics: bool, stats: IngestStats):
         add_fco(intern(parts[fco_c].strip()) if fco_c is not None else "")
         add_population(population)
         add_country(intern(parts[cty_c].strip()) if cty_c is not None else "")
-    if seen is not None:
+        if entry_id < last_id:
+            ascending = False
+        last_id = entry_id
+    if not ascending:
         by_id = ids.__getitem__
         for postings in index.values():
             postings.sort(key=by_id)
@@ -536,13 +579,14 @@ def save_index(gazetteer: Gazetteer, path: str | Path) -> None:
     a comma).
     """
     columns = gazetteer.columns
-    rows = list(_digest_rows(columns))
+    order = columns.id_order()
+    rows = list(_digest_rows(columns.in_id_order(order)))
     # all checked before the file is opened, so a refused entry leaves no partial index
     reread, _ = _read_rows(rows, _DIGEST_COLUMNS, gazetteer.fold_diacritics, IngestStats())
     # the rows are in id order, so each row read back sits at its own position until the first that does not
-    for position, (fields, line) in enumerate(zip(zip(*columns.in_id_order()), rows)):
-        if line.count("\n") != 1 or position >= len(reread) or reread.fields(position) != fields:
-            raise GazetteerError(f"entry {fields[0]} cannot be saved: its fields do not survive an index row")
+    for position, (place, line) in enumerate(zip(columns.in_id_order(order), rows)):
+        if line.count("\n") != 1 or position >= len(reread) or reread.fields(position) != place:
+            raise GazetteerError(f"entry {place[0]} cannot be saved: its fields do not survive an index row")
     body = "".join(rows).encode("utf-8")
     h = _digest_hasher(gazetteer.fold_diacritics)
     h.update(body)

@@ -387,11 +387,16 @@ class TestFromEntries:
 
     @pytest.mark.parametrize(
         "entry",
-        [GazetteerEntry(2**63, "A", (), GeoPoint(0, 0)), GazetteerEntry(1, "A", (), GeoPoint(0, 0), population=2**63)],
-        ids=["id", "population"],
+        [
+            GazetteerEntry(2**63, "A", (), GeoPoint(0, 0)),
+            GazetteerEntry(1, "A", (), GeoPoint(0, 0), population=2**63),
+            GazetteerEntry(1, "A", (), GeoPoint(0, 0), population=1.5),
+            GazetteerEntry(1.0, "A", (), GeoPoint(0, 0)),
+        ],
+        ids=["id", "population", "float-population", "float-id"],
     )
-    def test_values_beyond_64_bits_rejected(self, entry):
-        with pytest.raises(GazetteerError, match="outside 64 bits"):
+    def test_values_not_64_bit_integers_rejected(self, entry):
+        with pytest.raises(GazetteerError, match="not an integer within 64 bits"):
             Gazetteer.from_entries([entry])
 
 
@@ -594,12 +599,19 @@ class TestBuildCost:
     def test_a_builtin_run_over_an_ingested_table_builds_no_entry(self, tmp_path, monkeypatch):
         built = []
         real_init = GazetteerEntry.__init__
+        set_id, *other_slots = gazetteer_module._ENTRY_SLOTS
 
         def counting_init(entry, entry_id, *args, **kwargs):
             built.append(entry_id)
             real_init(entry, entry_id, *args, **kwargs)
 
+        def counting_set_id(entry, entry_id):
+            built.append(entry_id)
+            set_id(entry, entry_id)
+
+        # an entry is made either by its constructor or by the columns' builder, which sets its slots
         monkeypatch.setattr(GazetteerEntry, "__init__", counting_init)
+        monkeypatch.setattr(gazetteer_module, "_ENTRY_SLOTS", (counting_set_id, *other_slots))
         gazetteer, _ = ingest_gazetteer(write_rows(tmp_path / "gaz.tsv", keyed_rows(ascending=False)))
         assert gazetteer.digest() == KEYED_DIGESTS[False]
         assert gazetteer.lexicon() and gazetteer.lexicon(primary_only=True) and gazetteer.head_limits()
@@ -611,7 +623,8 @@ class TestBuildCost:
         assert predicted == [[20, 30, 5, 10, 20], [20, 30, 5]]
         assert built == []
         assert [e.id for e in gazetteer.lookup("Paris")] == [20]
-        assert built == [20]  # the wrapper sees the entries that are built
+        assert GazetteerEntry(1, "A", (), GeoPoint(0, 0)).id == 1
+        assert built == [20, 1]  # the wrappers see the entries that are built
 
     def test_loading_derives_no_lexicon(self, tmp_path, monkeypatch):
         def refuse(self, *args):
