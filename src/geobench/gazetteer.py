@@ -275,6 +275,9 @@ class Gazetteer:
         many lookups would otherwise run a collection every few calls, now
         and then a full one over all it keeps.
         """
+        if "tables" not in self._derived:
+            # parse a loaded index's rows before the hold, so that gc_paused freezes them
+            self._derive("tables", self._parse_index_body)
         was_enabled = gc.isenabled()
         gc.disable()
         try:
