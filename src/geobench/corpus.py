@@ -160,6 +160,26 @@ def gc_paused():
             gc.enable()
 
 
+# bytes read per call by hash_file: big enough that each update releases the GIL and the reads stay few
+_HASH_CHUNK = 1 << 18
+
+
+def hash_file(path: str | Path, hasher, offset: int = 0) -> str:
+    """Feed the bytes of a file from `offset` to its end to `hasher`; returns its hex digest.
+
+    The file is read in fixed-size chunks through one reused buffer, so a
+    file of any size costs one chunk of memory. Raises OSError if the file
+    cannot be read. (hashlib.file_digest needs Python 3.11.)
+    """
+    buffer = bytearray(_HASH_CHUNK)
+    view = memoryview(buffer)
+    with open(path, "rb", buffering=0) as fh:
+        fh.seek(offset)
+        while n := fh.readinto(buffer):
+            hasher.update(view[:n])
+    return hasher.hexdigest()
+
+
 def _parse_toponym(raw: dict, doc_id: str) -> GoldToponym:
     try:
         start = raw["start"]

@@ -12,7 +12,6 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
-import math
 import operator
 import re
 import sys
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field, fields
 from itertools import islice
 from pathlib import Path
 
-from .corpus import GeoPoint, gc_paused, is_json_int
+from .corpus import GeoPoint, gc_paused, hash_file, is_json_int
 
 # Zero-based column indices of the GeoNames allCountries.txt layout.
 GEONAMES_COLUMNS = {
@@ -147,12 +146,16 @@ class PlaceColumns:
             built.append(entry)
         return built
 
+    def ascending(self) -> bool:
+        """Whether the ids ascend with the row numbers."""
+        ids = self.ids
+        return all(map(operator.lt, ids, islice(ids, 1, None)))
+
     def id_order(self) -> list[int] | None:
         """The row numbers in ascending id order, or None if the rows already are in it."""
-        ids = self.ids
-        if all(map(operator.lt, ids, islice(ids, 1, None))):
+        if self.ascending():
             return None
-        return sorted(range(len(ids)), key=ids.__getitem__)
+        return sorted(range(len(self.ids)), key=self.ids.__getitem__)
 
     def in_id_order(self, order: list[int] | None) -> Iterator[tuple]:
         """Each row's values, as `fields` gives them, in the order `id_order` returned."""
@@ -194,8 +197,9 @@ class Gazetteer:
     of the places carrying it; posting lists are kept in ascending id
     order so that downstream tie-breaking is reproducible. The lexicon and
     head table the builtin recognizer reads are derived from the index on
-    first use, never saved. A gazetteer loaded from a saved index parses
-    its rows into columns and builds its index on first use as well.
+    first use, never saved. A gazetteer loaded from a saved index reads its
+    rows from the file, parses them into columns and builds its index on
+    first use as well.
     GazetteerEntry values are built only for `entries`, `lookup` and
     `geoparser.resolve_population`; a run reads the columns.
     """
@@ -206,15 +210,16 @@ class Gazetteer:
         self._derived: dict = {"tables": (columns, index)}
         # reentrant: deriving the lexicon reads `index`, which may itself be built on first use
         self._derive_lock = threading.RLock()
-        self._unparsed: tuple[str, bytes] | None = None
+        # a loaded index's path and body offset: where its rows are read from on first use
+        self._index_body: tuple[str, int] | None = None
 
     @classmethod
-    def _from_index_body(cls, source: str, body: bytes, fold_diacritics: bool, digest: str) -> "Gazetteer":
-        """A gazetteer whose digest is known and whose rows are parsed on first use of `columns` or `index`."""
+    def _from_index_body(cls, source: str, offset: int, fold_diacritics: bool, digest: str) -> "Gazetteer":
+        """A gazetteer whose digest is known and whose rows are read and parsed on first use of `columns` or `index`."""
         gazetteer = cls(PlaceColumns(), {}, fold_diacritics)
         del gazetteer._derived["tables"]
         gazetteer._digest = digest
-        gazetteer._unparsed = (source, body)
+        gazetteer._index_body = (source, offset)
         return gazetteer
 
     @property
@@ -238,7 +243,6 @@ class Gazetteer:
         """Build a gazetteer from GazetteerEntry values, validating each: a builder for tests and tools."""
         columns = PlaceColumns()
         seen: set[int] = set()
-        index: dict[str, list[int]] = {}
         for entry in entries:
             if entry.id in seen:
                 raise GazetteerError(f"duplicate entry id {entry.id}")
@@ -251,7 +255,6 @@ class Gazetteer:
             if not all(isinstance(v, int) and _INT64_MIN <= v <= _INT64_MAX for v in (entry.id, entry.population)):
                 raise GazetteerError(f"entry {entry.id}: id or population is not an integer within 64 bits")
             seen.add(entry.id)
-            _index_names(index, len(columns), entry.names(), fold_diacritics)
             columns.append(
                 entry.id,
                 entry.primary_name,
@@ -263,9 +266,7 @@ class Gazetteer:
                 entry.population,
                 entry.country,
             )
-        for postings in index.values():
-            postings.sort(key=columns.ids.__getitem__)
-        return cls(columns, index, fold_diacritics)
+        return cls(columns, _name_index(columns, fold_diacritics), fold_diacritics)
 
     def lookup(self, name: str) -> list[GazetteerEntry]:
         """Entries whose primary or alternate normalized name equals the query, ascending id.
@@ -315,7 +316,18 @@ class Gazetteer:
         return table
 
     def _parse_index_body(self) -> tuple[PlaceColumns, dict[str, list[int]]]:
-        source, body = self._unparsed
+        source, offset = self._index_body
+        try:
+            with open(source, "rb") as fh:
+                fh.seek(offset)
+                body = fh.read()
+        except OSError as exc:
+            raise GazetteerError(f"cannot read index file {source}: {exc}") from exc
+        # load_index hashed the file as it was then; parse nothing that is not those bytes
+        h = _digest_hasher(self.fold_diacritics)
+        h.update(body)
+        if h.hexdigest() != self._digest:
+            raise GazetteerError(f"{source}: the index file changed after it was loaded; load it again")
         stats = IngestStats()
         with gc_paused():
             try:
@@ -324,11 +336,10 @@ class Gazetteer:
                 raise GazetteerError(f"{source}: malformed index rows: {exc}") from None
             # "\n" only: str.splitlines would also break names at U+0085, U+2028 or "\x1c"
             lines = text.removesuffix("\n").split("\n")
-            columns, index = _read_rows(lines, _DIGEST_COLUMNS, self.fold_diacritics, stats)
+            columns = _read_rows(lines, _DIGEST_COLUMNS, stats)
             if stats.rows_skipped:  # a repeated id too
                 raise GazetteerError(f"{source}: {stats.rows_skipped} malformed index rows {stats.skip_reasons}")
-        self._unparsed = None  # the columns replace the body bytes
-        return columns, index
+            return columns, _name_index(columns, self.fold_diacritics)
 
     def _resolve_names(self, primary_only: bool) -> dict[str, int]:
         columns = self.columns
@@ -421,33 +432,41 @@ def _check_schema(schema) -> dict:
     return schema
 
 
-def _index_names(index: dict[str, list[int]], row: int, names, fold_diacritics: bool) -> None:
-    """Add a place's row to the posting list of each of its normalized names (the one indexing rule).
+def _name_index(columns: PlaceColumns, fold_diacritics: bool) -> dict[str, list[int]]:
+    """Normalized name -> the rows of the places carrying it, in ascending id order (the one indexing rule).
 
-    A posting list stays in ascending id order while places come in
-    ascending id order; otherwise the caller sorts it by id afterwards.
+    One pass over the name columns. A posting list fills in row order, so
+    the lists are sorted by id afterwards only if the ids do not ascend
+    with the rows.
     """
-    for name in names:
-        key = " ".join(name.split()).casefold()  # normalize_name, inlined: this runs for every name of every row
-        if fold_diacritics:
-            key = normalize_name(key, True)
-        if key:
-            postings = index.get(key)
-            if postings is None:
-                index[key] = [row]
-            elif postings[-1] != row:
-                postings.append(row)
+    index: dict[str, list[int]] = {}
+    get = index.get
+    for row, (name, alternates) in enumerate(zip(columns.names, columns.alternates)):
+        for each in (name, *alternates):
+            key = " ".join(each.split()).casefold()  # normalize_name, inlined: this runs for every name of every row
+            if fold_diacritics:
+                key = normalize_name(key, True)
+            if key:
+                postings = get(key)
+                if postings is None:
+                    index[key] = [row]
+                elif postings[-1] != row:
+                    postings.append(row)
+    if not columns.ascending():
+        by_id = columns.ids.__getitem__
+        for postings in index.values():
+            postings.sort(key=by_id)
+    return index
 
 
-def _read_rows(lines, cols: dict, fold_diacritics: bool, stats: IngestStats):
-    """The one reader of tab-separated place rows: returns (place columns, name index).
+def _read_rows(lines, cols: dict, stats: IngestStats) -> PlaceColumns:
+    """The one reader of tab-separated place rows: returns the place columns.
 
     In one pass over the lines, each row is parsed and validated, a row
     repeating an earlier id is skipped, and the place is appended to the
-    columns in row order and its row added to the name index. No
-    GazetteerEntry is built. Invalid and repeated rows are tallied in
-    `stats`. Posting lists are sorted by id afterwards only if some id came
-    in lower than the one before.
+    columns in row order. No GazetteerEntry is built and no name is
+    indexed (see _name_index). Invalid and repeated rows are tallied in
+    `stats`.
     """
     id_c, name_c = cols["id"], cols["name"]
     lat_c, lon_c = cols["lat"], cols["lon"]
@@ -460,15 +479,11 @@ def _read_rows(lines, cols: dict, fold_diacritics: bool, stats: IngestStats):
     split_at = max_col + 1  # columns past the last one read stay in one unsplit tail
     intern = sys.intern
     columns = PlaceColumns()
-    ids = columns.ids
     # one bound append per column: this loop runs for every row of the table
     add_id, add_name, add_alternates, add_lat, add_lon, add_fcl, add_fco, add_population, add_country = (
         column.append for column in columns._columns()
     )
-    index: dict[str, list[int]] = {}
     seen: set[int] = set()
-    ascending = True
-    last_id = -math.inf
     for line in lines:
         stats.rows_read += 1
         parts = line.split("\t", split_at)
@@ -515,7 +530,6 @@ def _read_rows(lines, cols: dict, fold_diacritics: bool, stats: IngestStats):
         alternates = ()
         if alt_c is not None and parts[alt_c]:
             alternates = tuple(a.strip() for a in parts[alt_c].split(",") if a.strip())
-        _index_names(index, len(ids), (name, *alternates), fold_diacritics)
         add_id(entry_id)
         add_name(name)
         add_alternates(alternates)
@@ -526,14 +540,7 @@ def _read_rows(lines, cols: dict, fold_diacritics: bool, stats: IngestStats):
         add_fco(intern(parts[fco_c].strip()) if fco_c is not None else "")
         add_population(population)
         add_country(intern(parts[cty_c].strip()) if cty_c is not None else "")
-        if entry_id < last_id:
-            ascending = False
-        last_id = entry_id
-    if not ascending:
-        by_id = ids.__getitem__
-        for postings in index.values():
-            postings.sort(key=by_id)
-    return columns, index
+    return columns
 
 
 def ingest_gazetteer(
@@ -548,8 +555,9 @@ def ingest_gazetteer(
     skipped and tallied in the returned IngestStats, not fatal; an
     unreadable file or zero valid rows is.
 
-    The same pass, reading the file line by line, fills the place columns
-    and the name index; it builds no GazetteerEntry. It hashes nothing: the
+    One pass, reading the file line by line, fills the place columns, and
+    one pass over their names builds the name index; neither builds a
+    GazetteerEntry. The ingest hashes nothing: the
     gazetteer's `digest()` is computed on its first call, so a caller that
     needs no cache key never pays for it.
     """
@@ -560,7 +568,8 @@ def ingest_gazetteer(
     except OSError as exc:
         raise GazetteerError(f"cannot read gazetteer file {path}: {exc}") from exc
     with fh, gc_paused():
-        columns, index = _read_rows(fh, cols, fold_diacritics, stats)
+        columns = _read_rows(fh, cols, stats)
+        index = _name_index(columns, fold_diacritics)
     stats.rows_ingested = len(columns)
     if not columns:
         raise GazetteerError(f"no valid rows in gazetteer file {path}")
@@ -585,7 +594,7 @@ def save_index(gazetteer: Gazetteer, path: str | Path) -> None:
     order = columns.id_order()
     rows = list(_digest_rows(columns.in_id_order(order)))
     # all checked before the file is opened, so a refused entry leaves no partial index
-    reread, _ = _read_rows(rows, _DIGEST_COLUMNS, gazetteer.fold_diacritics, IngestStats())
+    reread = _read_rows(rows, _DIGEST_COLUMNS, IngestStats())
     # the rows are in id order, so each row read back sits at its own position until the first that does not
     for position, (place, line) in enumerate(zip(columns.in_id_order(order), rows)):
         if line.count("\n") != 1 or position >= len(reread) or reread.fields(position) != place:
@@ -602,15 +611,18 @@ def save_index(gazetteer: Gazetteer, path: str | Path) -> None:
 def load_index(path: str | Path) -> Gazetteer:
     """Reload a gazetteer written by save_index.
 
-    The body is checked against the digest in the header, and a file that
-    fails the check is refused. Its rows are parsed into columns only when
-    the gazetteer's columns or name index are first used, so a caller that
-    needs only `digest()` pays for one read and one hash.
+    The body is hashed straight from the file, in chunks, and checked
+    against the digest in the header; a file that fails the check is
+    refused. The gazetteer keeps only the path, the body's offset, the fold
+    flag and the digest, so a caller that needs only `digest()` holds none
+    of the body. On first use of the columns or the name index, the body is
+    read again, checked against the digest once more (a file changed since
+    the load is refused) and parsed.
     """
     try:
         with open(path, "rb") as fh:
             header_line = fh.readline()
-            body = fh.read()
+            offset = fh.tell()
     except OSError as exc:
         raise GazetteerError(f"cannot read index file {path}: {exc}") from exc
     try:
@@ -624,11 +636,12 @@ def load_index(path: str | Path) -> Gazetteer:
             f"{path} is a gazetteer index in an older layout; rebuild it with `geobench gazetteer --out-index`"
         )
     fold = header.get("fold_diacritics", False)
-    h = _digest_hasher(fold)
-    h.update(body)
-    digest = h.hexdigest()
+    try:
+        digest = hash_file(path, _digest_hasher(fold), offset)
+    except OSError as exc:
+        raise GazetteerError(f"cannot read index file {path}: {exc}") from exc
     if digest != header.get("digest"):
         raise GazetteerError(f"{path}: malformed index rows: the body does not match the digest in its header")
-    if not body:
+    if digest == _digest_hasher(fold).hexdigest():  # the digest of an empty body
         raise GazetteerError(f"no entries in index file {path}")
-    return Gazetteer._from_index_body(str(path), body, fold, digest)
+    return Gazetteer._from_index_body(str(path), offset, fold, digest)

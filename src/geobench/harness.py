@@ -29,6 +29,7 @@ from .corpus import (
     CorpusFormatError,
     document_to_json_line,
     gc_paused,
+    hash_file,
     is_json_int,
     is_json_number,
     load_corpus,
@@ -311,22 +312,23 @@ def load_cached(corpus: Corpus, path: Path) -> dict[str, list[PredictedToponym]]
     is read through the adapters' decoder, with the cyclic GC held off. A
     line count or id that does not match the corpus, or any dropped
     prediction, makes the entry corrupt: that is logged and the predictions
-    are recomputed.
+    are recomputed. The file is read one line at a time.
     """
     if not path.exists():
         return None
     loaded: dict[str, list[PredictedToponym]] = {}
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = list(fh)
-        if len(lines) != len(corpus.documents):
-            raise ValueError(f"{len(lines)} lines for {len(corpus.documents)} documents")
-        with gc_paused():
-            for doc, line in zip(corpus.documents, lines):
-                predictions, dropped = parse_response(doc, line)
-                if dropped:
-                    raise ValueError(f"{dropped} invalid predictions for {doc.id!r}")
-                loaded[doc.id] = predictions
+            with gc_paused():
+                # zip takes the next document first, so it stops before reading a line past the last document
+                for doc, line in zip(corpus.documents, fh):
+                    predictions, dropped = parse_response(doc, line)
+                    if dropped:
+                        raise ValueError(f"{dropped} invalid predictions for {doc.id!r}")
+                    loaded[doc.id] = predictions
+            count = len(loaded) + sum(1 for _ in fh)
+        if count != len(corpus.documents):
+            raise ValueError(f"{count} lines for {len(corpus.documents)} documents")
     except (OSError, ValueError, AdapterProtocolError) as exc:
         log.warning("cache entry %s corrupt (%s); recomputing", path.name, exc)
         return None
@@ -560,15 +562,32 @@ def _dump_json(payload: dict, path: Path) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _load_hashed_corpus(source: CorpusSource, file_hash: str) -> Corpus:
+    """Load a corpus from its file's bytes, refusing them unless their sha256 is still `file_hash`.
+
+    The bytes parsed are exactly the bytes checked, so a corpus is never
+    scored or cached under the key of a file that changed after it was hashed.
+    """
+    try:
+        data = Path(source.path).read_bytes()
+    except OSError as exc:
+        raise CorpusFormatError(f"cannot read corpus file {source.path}: {exc}") from exc
+    if hashlib.sha256(data).hexdigest() != file_hash:
+        raise CorpusFormatError(f"corpus file {source.path} changed while the run read it; run again")
+    return load_corpus(source.path, source.completeness, source.name, data=data)
+
+
 def _evaluate_corpus(
     config: RunConfig, gazetteer: Gazetteer | None, cache_dir: str | None, workers: int, source: CorpusSource
 ) -> list[tuple[str, EvalReport]]:
     """Evaluate every geoparser on one corpus, in config order.
 
-    With a cache, the corpus file is read once and its bytes hashed. If their
-    corpus key is remembered, each geoparser whose score entry is usable gets
-    its report from that entry, and the corpus is parsed from the same bytes
-    only when some geoparser misses.
+    With a cache, the corpus file is hashed in chunks, holding none of its
+    bytes, to find its corpus key. If that key is remembered, each geoparser
+    whose score entry is usable gets its report from that entry. Only when
+    some geoparser misses is the file read again: its bytes must hash to the
+    same key, or the corpus is refused with a CorpusFormatError, and exactly
+    those bytes are parsed.
     """
     corpus = corpus_hash = None
     reports = [None] * len(config.geoparsers)
@@ -576,10 +595,10 @@ def _evaluate_corpus(
         corpus = load_corpus(source.path, source.completeness, source.name)
     else:
         try:
-            data = Path(source.path).read_bytes()
+            file_hash = hash_file(source.path, hashlib.sha256())
         except OSError as exc:
             raise CorpusFormatError(f"cannot read corpus file {source.path}: {exc}") from exc
-        key = Path(cache_dir) / "corpora" / hashlib.sha256(data).hexdigest()
+        key = Path(cache_dir) / "corpora" / file_hash
         corpus_hash = _remembered_digest(key)
         if corpus_hash is not None:
             for i, spec in enumerate(config.geoparsers):
@@ -587,8 +606,7 @@ def _evaluate_corpus(
                 score = _score_path(predictions, config.metrics, source.completeness)
                 reports[i] = _load_score(score, spec.identifier, source.name)
         if None in reports:
-            corpus = load_corpus(source.path, source.completeness, source.name, data=data)
-        del data  # so that the file's bytes do not add to the evaluations' peak memory
+            corpus = _load_hashed_corpus(source, file_hash)
     rows = []
     for spec, report in zip(config.geoparsers, reports):
         log.info("evaluating %s on %s", spec.identifier, source.name)  # after the corpus load, if there is one

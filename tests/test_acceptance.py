@@ -13,10 +13,20 @@ from contextlib import contextmanager
 
 import pytest
 
-from geobench import GeoparserSpec, compare, degrade_case, evaluate, ingest_gazetteer, save_index
+from geobench import (
+    GeoparserSpec,
+    compare,
+    degrade_case,
+    evaluate,
+    ingest_gazetteer,
+    load_index,
+    run_benchmark,
+    save_index,
+)
 from geobench.corpus import GeoPoint, GoldToponym
 from geobench.gazetteer import Gazetteer, GazetteerEntry, normalize_name
 from geobench.geoparser import PredictedToponym, resolve_population
+from geobench.harness import CorpusSource, RunConfig
 from geobench.metrics import EvalReport, align, auc_distance, build_report, distance_errors, geodesic_distance
 from geobench.cli import main as cli_main
 from helpers import smoke_corpus_and_gazetteer, write_corpus_files
@@ -382,6 +392,57 @@ def test_ingested_rows_hold_little_memory(tmp_path):
         assert len(gazetteer) == expected_valid
         per_row = held / expected_valid
         assert per_row < 550, f"an ingested row holds {per_row:.0f} bytes"
+
+
+def saved_big_index(directory):
+    """A saved index of a 20k-row table; returns (its path, the size of its body in bytes, its place count)."""
+    table = directory / "table.tsv"
+    places = generate_big_table(table, total_rows=20_000)
+    gazetteer, _ = ingest_gazetteer(table)
+    path = directory / "big.index"
+    save_index(gazetteer, path)
+    with open(path, "rb") as fh:
+        header = fh.readline()
+    return path, path.stat().st_size - len(header), places
+
+
+def test_loaded_index_holds_none_of_its_body(tmp_path):
+    with criterion("scale: a loaded 20k-row index holds < 64 KB until its rows are used"):
+        path, body_size, places = saved_big_index(tmp_path)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = load_index(path)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert body_size > 1_000_000
+        assert held < 64 * 1024, f"a loaded index holds {held} bytes"
+        assert len(loaded) == places  # the rows are read and parsed on first use
+
+
+def test_warm_run_over_an_index_peaks_below_its_body(tmp_path):
+    with criterion("scale: a primed run over a 20k-row index traces a peak below the index body"):
+        path, body_size, _ = saved_big_index(tmp_path)
+        corpus, _ = smoke_corpus_and_gazetteer(20, name="demo")
+        corpus_path, _ = write_corpus_files(corpus, tmp_path)
+        config = RunConfig(
+            corpora=(CorpusSource("demo", str(corpus_path)),),
+            gazetteer_path=str(path),
+            gazetteer_schema="index",
+            geoparsers=(GeoparserSpec("builtin-baseline", "builtin"),),
+            cache_dir=str(tmp_path / "cache"),
+        )
+        run_benchmark(config, tmp_path / "cold")
+        tracemalloc.start()
+        try:
+            run_benchmark(config, tmp_path / "warm")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        report = "reports/demo__builtin.json"
+        assert (tmp_path / "warm" / report).read_bytes() == (tmp_path / "cold" / report).read_bytes()
+        assert peak < body_size, f"a warm run peaked at {peak} bytes; the index body is {body_size}"
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 from geobench import CorpusFormatError, degrade_case, load_corpus
-from geobench.corpus import Corpus, Document, GeoPoint, GoldToponym, corpus_stats, load_manifest
+from geobench.corpus import _HASH_CHUNK as CHUNK
+from geobench.corpus import Corpus, Document, GeoPoint, GoldToponym, corpus_stats, hash_file, load_manifest
 from helpers import save_corpus, write_corpus_files
 
 
@@ -339,3 +341,18 @@ class TestRoundTrip:
         path.write_text('{"name": "x", "completeness": "mostly"}', encoding="utf-8")
         with pytest.raises(CorpusFormatError):
             load_manifest(path)
+
+
+class TestHashFile:
+    @pytest.mark.parametrize("size", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+    @pytest.mark.parametrize("offset", [0, 1, CHUNK])
+    def test_hashes_the_bytes_from_the_offset(self, tmp_path, size, offset):
+        data = bytes(i * 7 % 251 for i in range(size))
+        path = tmp_path / "data.bin"
+        path.write_bytes(data)
+        expected = hashlib.sha256(b"prefix" + data[offset:]).hexdigest()
+        assert hash_file(path, hashlib.sha256(b"prefix"), offset) == expected
+
+    def test_unreadable_file_raises_oserror(self, tmp_path):
+        with pytest.raises(OSError):
+            hash_file(tmp_path / "missing", hashlib.sha256())

@@ -484,6 +484,41 @@ class TestIndexFile:
         with pytest.raises(GazetteerError):
             load_index(path)
 
+    def test_load_rejects_index_with_no_entries(self, tmp_path):
+        header = {**gazetteer_module._INDEX_HEADER, "fold_diacritics": False}
+        header["digest"] = gazetteer_module._digest_hasher(False).hexdigest()  # the digest of an empty body
+        path = tmp_path / "gaz.index"
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n")
+        with pytest.raises(GazetteerError, match="no entries in index file"):
+            load_index(path)
+
+    def test_load_rejects_missing_file(self, tmp_path):
+        with pytest.raises(GazetteerError, match="cannot read index file"):
+            load_index(tmp_path / "missing.index")
+
+    @pytest.mark.parametrize("rewrite", ["other-gazetteer", "same-header"])
+    def test_index_rewritten_after_load_is_refused_when_parsed(self, tmp_path, monkeypatch, rewrite):
+        path = tmp_path / "gaz.index"
+        first = Gazetteer.from_entries([GazetteerEntry(1, "Alpha", (), GeoPoint(12.5, 3.25))])
+        save_index(first, path)
+        loaded = load_index(path)
+        if rewrite == "other-gazetteer":
+            save_index(Gazetteer.from_entries([GazetteerEntry(2, "Beta", (), GeoPoint(1.0, 2.0))]), path)
+        else:  # a body edited under the header the load checked
+            path.write_bytes(path.read_bytes().replace(b"\tAlpha\t", b"\tAlphb\t"))
+        parses = []
+        real_rows = gazetteer_module._read_rows
+
+        def counting_rows(*args, **kwargs):
+            parses.append(1)
+            return real_rows(*args, **kwargs)
+
+        monkeypatch.setattr(gazetteer_module, "_read_rows", counting_rows)
+        with pytest.raises(GazetteerError, match=re.escape(f"{path}: the index file changed after it was loaded")):
+            loaded.lexicon()
+        assert parses == []  # no columns were built from the new body
+        assert loaded.digest() == first.digest()
+
     def test_load_rejects_geonames_rows_index(self, tmp_path):
         path = tmp_path / "old.index"
         path.write_text(
@@ -557,7 +592,8 @@ class TestIndexFile:
         assert not any(thread.is_alive() for thread in threads)
         assert len(parses) == 1
         assert results == [expected[i % 3] for i in range(8)]
-        assert loaded._unparsed is None  # the body bytes are dropped once parsed
+        assert [touch() for touch in touches] == expected
+        assert len(parses) == 1  # later uses read the parsed rows, not the file
 
 
 class TestBuildCost:

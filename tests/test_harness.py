@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -222,16 +223,19 @@ class TestCache:
         evaluate(BUILTIN, corpus, gazetteer, cache_dir=tmp_path)
         assert not caplog.records  # the cache was rewritten
 
-    @pytest.mark.parametrize("edit", ["swap", "cut"])
+    @pytest.mark.parametrize("edit", ["swap", "cut", "extra"])
     def test_reordered_or_truncated_file_is_corrupt(self, tmp_path, caplog, edit):
         corpus, gazetteer = smoke_corpus_and_gazetteer(4)
         evaluate(BUILTIN, corpus, gazetteer, cache_dir=tmp_path)
         cache_file = next(tmp_path.glob("*.jsonl"))
         lines = cache_file.read_text().splitlines(keepends=True)
-        lines = [lines[1], lines[0], *lines[2:]] if edit == "swap" else lines[:-1]
-        cache_file.write_text("".join(lines))
+        edited = {"swap": [lines[1], lines[0], *lines[2:]], "cut": lines[:-1], "extra": [*lines, lines[0]]}[edit]
+        cache_file.write_text("".join(edited))
         report = evaluate(BUILTIN, corpus, gazetteer, cache_dir=tmp_path)
         assert any("corrupt" in r.getMessage() for r in caplog.records)
+        if edit != "swap":
+            count = {"cut": 3, "extra": 5}[edit]
+            assert f"({count} lines for 4 documents)" in caplog.records[0].getMessage()
         assert report == evaluate(BUILTIN, corpus, gazetteer)
 
     def test_hit_keeps_the_dropped_prediction_warning(self, tmp_path):
@@ -714,6 +718,32 @@ class TestRunBenchmark:
         run_benchmark(config, tmp_path / "second")
         assert {p.name for p in corpora.iterdir()} - before == {hashlib.sha256(path.read_bytes()).hexdigest()}
         assert len(set(self.cache_files(config)) - set(names)) == 2  # both geoparsers missed
+
+    @pytest.mark.parametrize("primed", [False, True], ids=["cold", "one-score-deleted"])
+    def test_corpus_rewritten_after_its_hash_is_refused_on_a_miss(self, tmp_path, monkeypatch, primed):
+        config = self.two_corpora_two_builtins(tmp_path)
+        cache = Path(config.cache_dir)
+        if primed:  # the corpus key is remembered and one geoparser misses
+            run_benchmark(config, tmp_path / "first")
+            demo = config.corpora[0].name
+            next(e for e in (cache / "scores").iterdir() if json.loads(e.read_bytes())["corpus"] == demo).unlink()
+        stored = {p: p.read_bytes() for p in cache.rglob("*") if p.is_file()}
+        path = Path(config.corpora[0].path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        real_hash = harness_module.hash_file
+
+        def hash_then_rewrite(file, hasher, offset=0):
+            digest = real_hash(file, hasher, offset)
+            if Path(file) == path:
+                path.write_text("".join(lines[1:]), encoding="utf-8")
+            return digest
+
+        monkeypatch.setattr(harness_module, "hash_file", hash_then_rewrite)
+        changed = f"corpus file {re.escape(str(path))} changed while the run read it"
+        with pytest.raises(CorpusFormatError, match=changed):
+            run_benchmark(config, tmp_path / "run")
+        # no prediction-cache, score or corpus-key entry was written under the old key
+        assert {p: p.read_bytes() for p in cache.rglob("*") if p.is_file()} == stored
 
     def test_unwritable_corpus_key_is_logged_not_fatal(self, tmp_path, caplog):
         config = self.two_corpora_two_builtins(tmp_path)

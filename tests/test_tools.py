@@ -1,16 +1,21 @@
 import ast
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 LOC = Path(__file__).resolve().parents[1] / "tools" / "loc.py"
 
 
-def load_loc():
-    spec = importlib.util.spec_from_file_location("loc", LOC)
+def load_tool(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_loc():
+    return load_tool(LOC)
 
 
 def test_loc_counts_code_and_docstrings_but_no_blank_or_comment_line():
@@ -71,3 +76,33 @@ def test_every_name_the_benchmark_tracer_wraps_resolves():
         for attr in path.split("."):
             assert hasattr(owner, attr), f"geobench.{module_name}.{path}"
             owner = getattr(owner, attr)
+
+
+def load_floor_check():
+    return load_tool(ROOT / "tools" / "floor_check.py")
+
+
+def test_floor_check_names_the_oldest_allowed_python(tmp_path):
+    floor = load_floor_check()
+    assert floor.oldest_python() == "python3.10"
+    (tmp_path / "pyproject.toml").write_text('[project]\nrequires-python = ">=3.12"\n', encoding="utf-8")
+    assert floor.oldest_python(tmp_path / "pyproject.toml") == "python3.12"
+
+
+def test_floor_check_skips_without_that_python(monkeypatch, capsys):
+    floor = load_floor_check()
+    monkeypatch.setattr(floor.shutil, "which", lambda name: None)
+    assert floor.main([]) == 0
+    assert capsys.readouterr().out == "floor check skipped: python3.10 is not installed or does not run\n"
+
+
+def test_floor_check_passes_on_this_python():
+    # the same checks the tool runs on the oldest python, here on the interpreter running the tests
+    assert load_floor_check().check(sys.executable) == []
+
+
+def test_floor_check_reports_a_failing_run(monkeypatch):
+    floor = load_floor_check()
+    monkeypatch.setattr(floor, "CHILD", "import sys\nsys.exit(5)\n")  # every request fails, so the run aborts
+    failures = floor.check(sys.executable)
+    assert len(failures) == 1 and failures[0].startswith("cold run exited 3")
