@@ -107,7 +107,7 @@ def _cmd_gazetteer(args) -> int:
         try:
             with open(args.schema, encoding="utf-8") as fh:
                 schema = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise GazetteerError(f"cannot read column map {args.schema}: {exc}") from None
     gazetteer, stats = ingest_gazetteer(args.input, schema, args.fold_diacritics)
     if args.out_index:

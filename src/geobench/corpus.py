@@ -229,30 +229,33 @@ def load_corpus(
     except OSError as exc:
         raise CorpusFormatError(f"cannot read corpus file {path}: {exc}") from exc
     with fh, gc_paused():
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: malformed JSON: {exc}") from None
-            if not isinstance(raw, dict) or "id" not in raw or "text" not in raw:
-                raise CorpusFormatError(f"{path}:{lineno}: record must be an object with 'id' and 'text'")
-            doc_id, text = raw["id"], raw["text"]
-            if not isinstance(doc_id, str) or not isinstance(text, str):
-                raise CorpusFormatError(f"{path}:{lineno}: 'id' and 'text' must be strings")
-            tops = raw.get("toponyms", [])
-            if not isinstance(tops, list):
-                raise CorpusFormatError(f"{path}:{lineno}: 'toponyms' must be a list")
-            try:
-                gold = sorted((_parse_toponym(t, doc_id) for t in tops), key=lambda t: (t.start, t.end))
-            except CorpusFormatError as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: {exc}") from None
-            doc = Document(id=doc_id, text=text, gold=tuple(gold), source=corpus_name)
-            error = _document_error(doc, seen_ids)
-            if error:
-                raise CorpusFormatError(f"{path}:{lineno}: {error} (document {doc_id!r})")
-            documents.append(doc)
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    raw = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CorpusFormatError(f"{path}:{lineno}: malformed JSON: {exc}") from None
+                if not isinstance(raw, dict) or "id" not in raw or "text" not in raw:
+                    raise CorpusFormatError(f"{path}:{lineno}: record must be an object with 'id' and 'text'")
+                doc_id, text = raw["id"], raw["text"]
+                if not isinstance(doc_id, str) or not isinstance(text, str):
+                    raise CorpusFormatError(f"{path}:{lineno}: 'id' and 'text' must be strings")
+                tops = raw.get("toponyms", [])
+                if not isinstance(tops, list):
+                    raise CorpusFormatError(f"{path}:{lineno}: 'toponyms' must be a list")
+                try:
+                    gold = sorted((_parse_toponym(t, doc_id) for t in tops), key=lambda t: (t.start, t.end))
+                except CorpusFormatError as exc:
+                    raise CorpusFormatError(f"{path}:{lineno}: {exc}") from None
+                doc = Document(id=doc_id, text=text, gold=tuple(gold), source=corpus_name)
+                error = _document_error(doc, seen_ids)
+                if error:
+                    raise CorpusFormatError(f"{path}:{lineno}: {error} (document {doc_id!r})")
+                documents.append(doc)
+        except UnicodeDecodeError as exc:
+            raise CorpusFormatError(f"{path}: not UTF-8: {exc}") from None
     return Corpus(name=corpus_name, documents=tuple(documents), completeness=completeness)
 
 
@@ -285,7 +288,7 @@ def load_manifest(path: str | Path) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise CorpusFormatError(f"cannot read manifest {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CorpusFormatError(f"malformed manifest {path}: {exc}") from None
     if not isinstance(raw, dict) or not isinstance(raw.get("name"), str):
         raise CorpusFormatError(f"manifest {path} must be an object with a string 'name'")

@@ -9,8 +9,8 @@ unlimited concurrent readers.
 
 from __future__ import annotations
 
-import gc
 import hashlib
+import io
 import json
 import operator
 import re
@@ -19,7 +19,7 @@ import threading
 import unicodedata
 from array import array
 from collections.abc import Iterator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
 
@@ -50,8 +50,10 @@ class GazetteerError(Exception):
     """A gazetteer could not be built or loaded."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class GazetteerEntry:
+    """One place: a new copy of a row of the gazetteer's columns, so changing it changes nothing the gazetteer holds."""
+
     id: int
     primary_name: str
     alternate_names: tuple[str, ...]
@@ -60,15 +62,6 @@ class GazetteerEntry:
     feature_code: str = ""
     population: int = 0
     country: str = ""
-
-    def names(self):
-        yield self.primary_name
-        yield from self.alternate_names
-
-
-# The slot setters of each dataclass, in field order.
-_ENTRY_SLOTS = tuple(GazetteerEntry.__dict__[f.name].__set__ for f in fields(GazetteerEntry))
-_POINT_SLOTS = tuple(GeoPoint.__dict__[f.name].__set__ for f in fields(GeoPoint))
 
 
 class PlaceColumns:
@@ -119,32 +112,14 @@ class PlaceColumns:
         return tuple(column[row] for column in self._columns())
 
     def entries(self, rows) -> list[GazetteerEntry]:
-        """A new GazetteerEntry for each of `rows`, in their order.
-
-        Each field goes straight into its slot: a frozen dataclass's
-        __init__ sets every field through object.__setattr__, which would
-        cost `Gazetteer.lookup` more than reading the row does.
-        """
-        set_id, set_name, set_alternates, set_point, set_fcl, set_fco, set_population, set_country = _ENTRY_SLOTS
-        set_lat, set_lon = _POINT_SLOTS
-        new_entry, new_point = GazetteerEntry.__new__, GeoPoint.__new__
+        """A new GazetteerEntry for each of `rows`, in their order."""
         ids, names, alternates, lat, lon, fcl, fco, population, country = self._columns()
-        built = []
-        for r in rows:
-            point = new_point(GeoPoint)
-            set_lat(point, lat[r])
-            set_lon(point, lon[r])
-            entry = new_entry(GazetteerEntry)
-            set_id(entry, ids[r])
-            set_name(entry, names[r])
-            set_alternates(entry, alternates[r])
-            set_point(entry, point)
-            set_fcl(entry, fcl[r])
-            set_fco(entry, fco[r])
-            set_population(entry, population[r])
-            set_country(entry, country[r])
-            built.append(entry)
-        return built
+        return [
+            GazetteerEntry(
+                ids[r], names[r], alternates[r], GeoPoint(lat[r], lon[r]), fcl[r], fco[r], population[r], country[r]
+            )
+            for r in rows
+        ]
 
     def ascending(self) -> bool:
         """Whether the ids ascend with the row numbers."""
@@ -200,7 +175,8 @@ class Gazetteer:
     first use, never saved. A gazetteer loaded from a saved index reads its
     rows from the file, parses them into columns and builds its index on
     first use as well.
-    GazetteerEntry values are built only for `entries`, `lookup` and
+    GazetteerEntry values are built, through their constructor and anew on
+    each call, only for `entries`, `lookup` and
     `geoparser.resolve_population`; a run reads the columns.
     """
 
@@ -269,23 +245,11 @@ class Gazetteer:
         return cls(columns, _name_index(columns, fold_diacritics), fold_diacritics)
 
     def lookup(self, name: str) -> list[GazetteerEntry]:
-        """Entries whose primary or alternate normalized name equals the query, ascending id.
+        """Entries whose primary or alternate normalized name equals the query, ascending id: new ones on each call.
 
-        The entries are built anew on each call, with the collector held
-        off: they form no cycles, and a caller that keeps the candidates of
-        many lookups would otherwise run a collection every few calls, now
-        and then a full one over all it keeps.
+        Building them leaves the cyclic collector as the caller set it.
         """
-        if "tables" not in self._derived:
-            # parse a loaded index's rows before the hold, so that gc_paused freezes them
-            self._derive("tables", self._parse_index_body)
-        was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return self.columns.entries(self.index.get(normalize_name(name, self.fold_diacritics), ()))
-        finally:
-            if was_enabled:
-                gc.enable()
+        return self.columns.entries(self.index.get(normalize_name(name, self.fold_diacritics), ()))
 
     def lexicon(self, primary_only: bool = False) -> dict[str, int]:
         """Normalized name -> the row of its resolved place: the most populous candidate, smallest id on ties.
@@ -329,14 +293,10 @@ class Gazetteer:
         if h.hexdigest() != self._digest:
             raise GazetteerError(f"{source}: the index file changed after it was loaded; load it again")
         stats = IngestStats()
+        # line by line, as a TSV is read; newline="\n" ends a line at "\n" only, not at a "\r" in a name
+        lines = io.TextIOWrapper(io.BytesIO(body), encoding="utf-8", newline="\n")
         with gc_paused():
-            try:
-                text = body.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise GazetteerError(f"{source}: malformed index rows: {exc}") from None
-            # "\n" only: str.splitlines would also break names at U+0085, U+2028 or "\x1c"
-            lines = text.removesuffix("\n").split("\n")
-            columns = _read_rows(lines, _DIGEST_COLUMNS, stats)
+            columns = _read_text_rows(lines, _DIGEST_COLUMNS, stats, f"{source}: malformed index rows")
             if stats.rows_skipped:  # a repeated id too
                 raise GazetteerError(f"{source}: {stats.rows_skipped} malformed index rows {stats.skip_reasons}")
             return columns, _name_index(columns, self.fold_diacritics)
@@ -543,6 +503,14 @@ def _read_rows(lines, cols: dict, stats: IngestStats) -> PlaceColumns:
     return columns
 
 
+def _read_text_rows(fh, cols: dict, stats: IngestStats, what: str) -> PlaceColumns:
+    """`_read_rows` over the lines of a text stream; bytes that are not UTF-8 raise a GazetteerError led by `what`."""
+    try:
+        return _read_rows(fh, cols, stats)
+    except UnicodeDecodeError as exc:
+        raise GazetteerError(f"{what}: {exc}") from None
+
+
 def ingest_gazetteer(
     path: str | Path, schema="geonames", fold_diacritics: bool = False
 ) -> tuple[Gazetteer, IngestStats]:
@@ -568,7 +536,7 @@ def ingest_gazetteer(
     except OSError as exc:
         raise GazetteerError(f"cannot read gazetteer file {path}: {exc}") from exc
     with fh, gc_paused():
-        columns = _read_rows(fh, cols, stats)
+        columns = _read_text_rows(fh, cols, stats, f"{path}: malformed gazetteer rows")
         index = _name_index(columns, fold_diacritics)
     stats.rows_ingested = len(columns)
     if not columns:

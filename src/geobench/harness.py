@@ -123,7 +123,7 @@ def load_run_config(path: str | Path) -> RunConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise RunConfigError(f"cannot read run config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise RunConfigError(f"malformed run config {path}: {exc}") from None
     base = Path(path).parent
 

@@ -367,7 +367,7 @@ def test_million_row_gazetteer_scale(tmp_path):
         wanted = {normalize_name(q) for q in sampled}
         scanned = {key: [] for key in wanted}
         for entry in gazetteer.entries.values():
-            for name in entry.names():
+            for name in (entry.primary_name, *entry.alternate_names):
                 key = normalize_name(name)
                 if key in scanned:
                     scanned[key].append(entry.id)
@@ -419,6 +419,24 @@ def test_loaded_index_holds_none_of_its_body(tmp_path):
         assert body_size > 1_000_000
         assert held < 64 * 1024, f"a loaded index holds {held} bytes"
         assert len(loaded) == places  # the rows are read and parsed on first use
+
+
+def test_first_use_of_a_loaded_index_streams_its_body(tmp_path):
+    # a floor, not a target: streaming the body's lines into the parser peaks about 1.0x the body above what the
+    # parse keeps; decoding the whole body and splitting it into a list of lines peaked about 4.1x above it
+    with criterion("scale: parsing a loaded 20k-row index peaks < 2x its body above the tables it keeps"):
+        path, body_size, places = saved_big_index(tmp_path)
+        loaded = load_index(path)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            columns = loaded.columns
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(columns) == places
+        transient = peak - held
+        assert transient < 2 * body_size, f"the parse peaked {transient} bytes above the {held - before} it keeps"
 
 
 def test_warm_run_over_an_index_peaks_below_its_body(tmp_path):

@@ -349,3 +349,24 @@ class TestRunReportCompare:
         assert main(["run", "--config", str(run_setup), "--out", str(out), "--workers", workers]) == 2
         assert "parallelism must be >= 1" in capsys.readouterr().err
         assert not (out / "run_config.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ingest", "--corpus", "{bad}"], "{bad}: not UTF-8: "),
+        (["gazetteer", "--input", "{bad}"], "{bad}: malformed gazetteer rows: "),
+        (["run", "--config", "{bad}", "--out", "{tmp}/out"], "malformed run config {bad}: "),
+        (["ingest", "--corpus", "{tmp}/c.jsonl", "--manifest", "{bad}"], "malformed manifest {bad}: "),
+        (["gazetteer", "--input", "{tmp}/gaz.tsv", "--schema", "{bad}"], "cannot read column map {bad}: "),
+    ],
+    ids=["corpus", "table", "run-config", "manifest", "column-map"],
+)
+def test_file_that_is_not_utf8_is_data_error_naming_the_file(tmp_path, capsys, argv, message):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b'{"id": "\xff"}\n')
+    (tmp_path / "c.jsonl").write_text('{"id": "a", "text": "hi"}\n', encoding="utf-8")
+    (tmp_path / "gaz.tsv").write_text(geonames_row(1, "Paris", 48.85, 2.35) + "\n", encoding="utf-8")
+    assert main([arg.format(bad=bad, tmp=tmp_path) for arg in argv]) == 2
+    expected = message.format(bad=bad) + "'utf-8' codec can't decode byte 0xff"
+    assert f"geobench: data error: {expected}" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -56,7 +57,6 @@ class TestLoad:
 
     @pytest.mark.parametrize("coordinate", ["lat", "lon"])
     def test_integer_coordinate_beyond_float_is_a_format_error(self, tmp_path, coordinate):
-        import re
 
         path = tmp_path / "c.jsonl"
         toponym = {"start": 0, "end": 6, "name": "Berlin", "lat": 52, "lon": 13}
@@ -69,6 +69,13 @@ class TestLoad:
         path = tmp_path / "c.jsonl"
         path.write_text(json.dumps(BERLIN_DOC) + "\n{oops\n", encoding="utf-8")
         with pytest.raises(CorpusFormatError, match=":2:"):
+            load_corpus(path)
+
+    def test_bytes_that_are_not_utf8_are_a_format_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(json.dumps(BERLIN_DOC).encode() + b'\n{"id": "d2", "text": "\xff"}\n')
+        message = f"{path}: not UTF-8: 'utf-8' codec can't decode byte 0xff"
+        with pytest.raises(CorpusFormatError, match=re.escape(message)):
             load_corpus(path)
 
     def test_one_sided_coordinates_rejected(self, tmp_path):
@@ -190,8 +197,9 @@ class TestLoad:
         [
             b'{"id": "a", "text": "x"}\r\n\r\n{"text": "y", "id": "b"}\r{"id": "c", "text": "\xc3\xa9"}',
             b'{"id": "a", "text": "x"}\n\n{"id": "b", "text": "y"}\r\n{oops\n',
+            b'{"id": "a", "text": "x"}\n{"id": "b", "text": "\xff"}\n',
         ],
-        ids=["mixed-line-ends", "malformed-line-4"],
+        ids=["mixed-line-ends", "malformed-line-4", "not-utf-8"],
     )
     def test_hashing_the_bytes_changes_nothing_else(self, tmp_path, body):
         # a caller that reads the bytes to hash them parses those bytes: the corpus or the error is the file's

@@ -13,7 +13,7 @@ import pytest
 from geobench import GazetteerError, ingest_gazetteer, load_index, save_index
 from geobench.corpus import Corpus, Document, GeoPoint
 from geobench import gazetteer as gazetteer_module
-from geobench.gazetteer import Gazetteer, GazetteerEntry, normalize_name
+from geobench.gazetteer import Gazetteer, GazetteerEntry, PlaceColumns, normalize_name
 from geobench.geoparser import BuiltinGeoparser, GeoparserSpec, create_geoparser, resolve_population
 from geobench.harness import CorpusSource, RunConfig, _cache_path, run_benchmark
 from helpers import geonames_row, write_corpus_files
@@ -176,6 +176,12 @@ class TestIngest:
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(GazetteerError, match="cannot read"):
             ingest_gazetteer(tmp_path / "missing.tsv")
+
+    def test_bytes_that_are_not_utf8_are_refused_naming_the_file(self, tmp_path):
+        path = tmp_path / "gaz.tsv"
+        path.write_bytes(geonames_row(1, "Paris", 48.85, 2.35).encode() + b"\n" + b"2\t\xff\n")
+        with pytest.raises(GazetteerError, match=re.escape(f"{path}: malformed gazetteer rows: 'utf-8' codec")):
+            ingest_gazetteer(path)
 
     def test_fold_diacritics_flag(self, tmp_path):
         path = tmp_path / "gaz.tsv"
@@ -342,19 +348,21 @@ class TestProperties:
         rng = random.Random(11)
         entries, gazetteer = random_gazetteer(rng, 400)
         for entry in entries:
-            for name in entry.names():
+            for name in (entry.primary_name, *entry.alternate_names):
                 assert entry.id in [e.id for e in gazetteer.lookup(name)]
 
     def test_lookup_equals_linear_scan(self):
         # oracle: scan all entries with the same normalized-name predicate
         rng = random.Random(13)
         entries, gazetteer = random_gazetteer(rng, 10_000)
-        all_names = [n for e in entries for n in e.names()]
+        all_names = [n for e in entries for n in (e.primary_name, *e.alternate_names)]
         queries = rng.sample(all_names, 400) + ["Atlantis", "zz top", ""] + [rng.choice(all_names).upper() for _ in range(97)]
         assert len(queries) == 500
         for query in queries:
             key = normalize_name(query)
-            expected = sorted(e.id for e in entries if any(normalize_name(n) == key for n in e.names()))
+            expected = sorted(
+                e.id for e in entries if any(normalize_name(n) == key for n in (e.primary_name, *e.alternate_names))
+            )
             assert [e.id for e in gazetteer.lookup(query)] == expected
 
     def test_posting_lists_ascending(self):
@@ -472,6 +480,17 @@ class TestIndexFile:
         path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
         loaded = load_index(path)
         with pytest.raises(GazetteerError, match="1 malformed index rows {'duplicate id': 1}"):
+            loaded.entries
+
+    def test_index_body_that_is_not_utf8_is_refused_naming_the_file(self, tmp_path):
+        body = b"1\tA\t\t0.0\t0.0\t\t\t0\t\n2\t\xff\t\t1.0\t1.0\t\t\t0\t\n"
+        h = gazetteer_module._digest_hasher(False)
+        h.update(body)
+        header = {**gazetteer_module._INDEX_HEADER, "fold_diacritics": False, "digest": h.hexdigest()}
+        path = tmp_path / "gaz.index"
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+        loaded = load_index(path)
+        with pytest.raises(GazetteerError, match=re.escape(f"{path}: malformed index rows: 'utf-8' codec")):
             loaded.entries
 
     def test_load_rejects_altered_body(self, tmp_path):
@@ -632,22 +651,45 @@ class TestBuildCost:
         finally:
             (gc.enable if was_enabled else gc.disable)()
 
+    def test_lookup_leaves_the_collector_to_its_caller(self, monkeypatch):
+        # a thread inside lookup must not undo another thread's gc.disable()
+        gazetteer = Gazetteer.from_entries([GazetteerEntry(1, "A", (), GeoPoint(0, 0))])
+        entered, release = threading.Event(), threading.Event()
+        real_entries = PlaceColumns.entries
+
+        def held_entries(columns, rows):
+            entered.set()
+            release.wait(30)
+            return real_entries(columns, rows)
+
+        monkeypatch.setattr(PlaceColumns, "entries", held_entries)
+        found = []
+        thread = threading.Thread(target=lambda: found.extend(gazetteer.lookup("A")), daemon=True)
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable()
+            thread.start()
+            assert entered.wait(30)
+            gc.disable()
+            release.set()
+            thread.join(30)
+            assert gc.isenabled() is False
+        finally:
+            release.set()
+            (gc.enable if was_enabled else gc.disable)()
+        assert not thread.is_alive()
+        assert [entry.id for entry in found] == [1]
+
     def test_a_builtin_run_over_an_ingested_table_builds_no_entry(self, tmp_path, monkeypatch):
         built = []
         real_init = GazetteerEntry.__init__
-        set_id, *other_slots = gazetteer_module._ENTRY_SLOTS
 
         def counting_init(entry, entry_id, *args, **kwargs):
             built.append(entry_id)
             real_init(entry, entry_id, *args, **kwargs)
 
-        def counting_set_id(entry, entry_id):
-            built.append(entry_id)
-            set_id(entry, entry_id)
-
-        # an entry is made either by its constructor or by the columns' builder, which sets its slots
+        # the constructor is the only way an entry is made, the columns' builder included
         monkeypatch.setattr(GazetteerEntry, "__init__", counting_init)
-        monkeypatch.setattr(gazetteer_module, "_ENTRY_SLOTS", (counting_set_id, *other_slots))
         gazetteer, _ = ingest_gazetteer(write_rows(tmp_path / "gaz.tsv", keyed_rows(ascending=False)))
         assert gazetteer.digest() == KEYED_DIGESTS[False]
         assert gazetteer.lexicon() and gazetteer.lexicon(primary_only=True) and gazetteer.head_limits()
@@ -660,7 +702,7 @@ class TestBuildCost:
         assert built == []
         assert [e.id for e in gazetteer.lookup("Paris")] == [20]
         assert GazetteerEntry(1, "A", (), GeoPoint(0, 0)).id == 1
-        assert built == [20, 1]  # the wrappers see the entries that are built
+        assert built == [20, 1]  # the wrapper sees the entries that are built
 
     def test_loading_derives_no_lexicon(self, tmp_path, monkeypatch):
         def refuse(self, *args):

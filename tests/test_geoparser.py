@@ -164,7 +164,7 @@ def _fuzz_case(rng: random.Random, fold: bool):
         point = GeoPoint(i, i)
         entries.append(GazetteerEntry(entry_id, _fuzz_name(rng), alternates, point, population=rng.randrange(3)))
     gazetteer = Gazetteer.from_entries(entries, fold)
-    names = [name for e in entries for name in e.names()]
+    names = [name for e in entries for name in (e.primary_name, *e.alternate_names)]
     pieces = []
     for _ in range(rng.randrange(1, 25)):
         if rng.random() < 0.3:
