@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 adapter error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import sys
@@ -174,14 +175,22 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # --help exits 0, usage errors exit 1
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    # A command builds many long-lived objects and no garbage cycles, so the
+    # cyclic collector would only rescan them; the caller gets its setting back.
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return _COMMANDS[args.command](args)
-    except (CorpusFormatError, GazetteerError, RunConfigError, ValueError) as exc:
+    # every input read raises its own error naming the file, so an OSError here is a failed write
+    except (CorpusFormatError, GazetteerError, RunConfigError, ValueError, OSError) as exc:
         print(f"geobench: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except AdapterError as exc:
         print(f"geobench: adapter error: {exc}", file=sys.stderr)
         return EXIT_ADAPTER
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -13,12 +13,11 @@ indices. Loaded corpora are immutable and safe to share between threads.
 
 from __future__ import annotations
 
-import gc
+import hashlib
 import io
 import json
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -135,49 +134,15 @@ def is_positive_json_number(value) -> bool:
     return is_json_number(value) and 0 < value <= sys.float_info.max
 
 
-@contextmanager
-def gc_paused():
-    """Hold off the cyclic garbage collector while a bulk decode builds many objects.
-
-    Decoded corpora, cached predictions and gazetteers form no cycles, yet
-    their sheer number would trigger several full collections during the
-    build, and every full collection after it would rescan them. So the
-    heap is collected once on entry, while it is still small, and on
-    success everything then alive is frozen out of later collections: the
-    collection on entry leaves no garbage cycle to be frozen with it. A
-    caller that had the collector off keeps it off.
-    """
-    was_enabled = gc.isenabled()
-    if was_enabled:
-        gc.collect()
-    gc.disable()
-    try:
-        yield
-        if was_enabled:
-            gc.freeze()
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
-# bytes read per call by hash_file: big enough that each update releases the GIL and the reads stay few
-_HASH_CHUNK = 1 << 18
-
-
 def hash_file(path: str | Path, hasher, offset: int = 0) -> str:
     """Feed the bytes of a file from `offset` to its end to `hasher`; returns its hex digest.
 
-    The file is read in fixed-size chunks through one reused buffer, so a
-    file of any size costs one chunk of memory. Raises OSError if the file
-    cannot be read. (hashlib.file_digest needs Python 3.11.)
+    The file is read in fixed-size chunks, so a file of any size costs one
+    chunk of memory. Raises OSError if the file cannot be read.
     """
-    buffer = bytearray(_HASH_CHUNK)
-    view = memoryview(buffer)
-    with open(path, "rb", buffering=0) as fh:
+    with open(path, "rb") as fh:
         fh.seek(offset)
-        while n := fh.readinto(buffer):
-            hasher.update(view[:n])
-    return hasher.hexdigest()
+        return hashlib.file_digest(fh, lambda: hasher).hexdigest()
 
 
 def _parse_toponym(raw: dict, doc_id: str) -> GoldToponym:
@@ -228,7 +193,7 @@ def load_corpus(
         fh = open(path, encoding="utf-8") if data is None else io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
     except OSError as exc:
         raise CorpusFormatError(f"cannot read corpus file {path}: {exc}") from exc
-    with fh, gc_paused():
+    with fh:
         try:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
 
-from .corpus import GeoPoint, gc_paused, hash_file, is_json_int
+from .corpus import GeoPoint, hash_file, is_json_int
 
 # Zero-based column indices of the GeoNames allCountries.txt layout.
 GEONAMES_COLUMNS = {
@@ -245,10 +245,7 @@ class Gazetteer:
         return cls(columns, _name_index(columns, fold_diacritics), fold_diacritics)
 
     def lookup(self, name: str) -> list[GazetteerEntry]:
-        """Entries whose primary or alternate normalized name equals the query, ascending id: new ones on each call.
-
-        Building them leaves the cyclic collector as the caller set it.
-        """
+        """Entries whose primary or alternate normalized name equals the query, ascending id: new ones on each call."""
         return self.columns.entries(self.index.get(normalize_name(name, self.fold_diacritics), ()))
 
     def lexicon(self, primary_only: bool = False) -> dict[str, int]:
@@ -295,11 +292,10 @@ class Gazetteer:
         stats = IngestStats()
         # line by line, as a TSV is read; newline="\n" ends a line at "\n" only, not at a "\r" in a name
         lines = io.TextIOWrapper(io.BytesIO(body), encoding="utf-8", newline="\n")
-        with gc_paused():
-            columns = _read_text_rows(lines, _DIGEST_COLUMNS, stats, f"{source}: malformed index rows")
-            if stats.rows_skipped:  # a repeated id too
-                raise GazetteerError(f"{source}: {stats.rows_skipped} malformed index rows {stats.skip_reasons}")
-            return columns, _name_index(columns, self.fold_diacritics)
+        columns = _read_text_rows(lines, _DIGEST_COLUMNS, stats, f"{source}: malformed index rows")
+        if stats.rows_skipped:  # a repeated id too
+            raise GazetteerError(f"{source}: {stats.rows_skipped} malformed index rows {stats.skip_reasons}")
+        return columns, _name_index(columns, self.fold_diacritics)
 
     def _resolve_names(self, primary_only: bool) -> dict[str, int]:
         columns = self.columns
@@ -535,7 +531,7 @@ def ingest_gazetteer(
         fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise GazetteerError(f"cannot read gazetteer file {path}: {exc}") from exc
-    with fh, gc_paused():
+    with fh:
         columns = _read_text_rows(fh, cols, stats, f"{path}: malformed gazetteer rows")
         index = _name_index(columns, fold_diacritics)
     stats.rows_ingested = len(columns)

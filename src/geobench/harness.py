@@ -28,7 +28,6 @@ from .corpus import (
     Corpus,
     CorpusFormatError,
     document_to_json_line,
-    gc_paused,
     hash_file,
     is_json_int,
     is_json_number,
@@ -309,23 +308,22 @@ def load_cached(corpus: Corpus, path: Path) -> dict[str, list[PredictedToponym]]
     """Reload the predictions cached at `path` (a _cache_path), or None on a miss or a corrupt entry.
 
     The file holds one adapter response per document, in corpus order, and
-    is read through the adapters' decoder, with the cyclic GC held off. A
-    line count or id that does not match the corpus, or any dropped
-    prediction, makes the entry corrupt: that is logged and the predictions
-    are recomputed. The file is read one line at a time.
+    is read through the adapters' decoder. A line count or id that does not
+    match the corpus, or any dropped prediction, makes the entry corrupt:
+    that is logged and the predictions are recomputed. The file is read one
+    line at a time.
     """
     if not path.exists():
         return None
     loaded: dict[str, list[PredictedToponym]] = {}
     try:
         with open(path, encoding="utf-8") as fh:
-            with gc_paused():
-                # zip takes the next document first, so it stops before reading a line past the last document
-                for doc, line in zip(corpus.documents, fh):
-                    predictions, dropped = parse_response(doc, line)
-                    if dropped:
-                        raise ValueError(f"{dropped} invalid predictions for {doc.id!r}")
-                    loaded[doc.id] = predictions
+            # zip takes the next document first, so it stops before reading a line past the last document
+            for doc, line in zip(corpus.documents, fh):
+                predictions, dropped = parse_response(doc, line)
+                if dropped:
+                    raise ValueError(f"{dropped} invalid predictions for {doc.id!r}")
+                loaded[doc.id] = predictions
             count = len(loaded) + sum(1 for _ in fh)
         if count != len(corpus.documents):
             raise ValueError(f"{count} lines for {len(corpus.documents)} documents")

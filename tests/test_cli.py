@@ -100,6 +100,14 @@ class TestGazetteerCommand:
     def test_missing_input_is_data_error(self, tmp_path):
         assert main(["gazetteer", "--input", str(tmp_path / "nope.tsv")]) == 2
 
+    def test_unwritable_out_index_is_data_error_naming_it(self, tmp_path, capsys):
+        table = tmp_path / "places.tsv"
+        table.write_text(geonames_row(1, "Paris", 48.85, 2.35) + "\n", encoding="utf-8")
+        out_index = table / "x.index"  # under a file, not a directory
+        assert main(["gazetteer", "--input", str(table), "--out-index", str(out_index)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("geobench: data error: ") and str(out_index) in err[0]
+
 
 class TestRunReportCompare:
     def test_end_to_end(self, run_setup, tmp_path, capsys):
@@ -342,6 +350,13 @@ class TestRunReportCompare:
         assert not (run_setup.parent / "cache").exists()
         assert main(["run", "--config", str(run_setup), "--out", str(tmp_path / "o2")]) == 0
         assert (run_setup.parent / "cache").exists()
+
+    def test_unwritable_run_directory_is_data_error_naming_it(self, run_setup, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("a file, not a directory", encoding="utf-8")
+        assert main(["run", "--config", str(run_setup), "--out", str(out)]) == 2
+        err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("geobench:")]
+        assert len(err) == 1 and err[0].startswith("geobench: data error: ") and str(out) in err[0]
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_worker_count_below_one_is_data_error(self, run_setup, tmp_path, capsys, workers):

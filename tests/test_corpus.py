@@ -1,14 +1,17 @@
+import gc
 import hashlib
 import json
 import re
+import threading
 
 import pytest
 
 from geobench import CorpusFormatError, degrade_case, load_corpus
-from geobench.corpus import _HASH_CHUNK as CHUNK
+from geobench import corpus as corpus_module
 from geobench.corpus import Corpus, Document, GeoPoint, GoldToponym, corpus_stats, hash_file, load_manifest
 from helpers import save_corpus, write_corpus_files
 
+CHUNK = 1 << 18  # hashlib.file_digest reads this many bytes at a time
 
 def write_lines(path, records):
     path.write_text("\n".join(json.dumps(r, ensure_ascii=False) for r in records) + "\n", encoding="utf-8")
@@ -212,6 +215,36 @@ class TestLoad:
             except CorpusFormatError as exc:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
+
+    def test_load_leaves_the_collector_to_another_thread(self, tmp_path, monkeypatch):
+        # a thread inside load_corpus must not undo another thread's gc.disable()
+        path = tmp_path / "c.jsonl"
+        write_lines(path, [BERLIN_DOC])
+        entered, release = threading.Event(), threading.Event()
+        real_document_error = corpus_module._document_error
+
+        def held_document_error(doc, seen_ids):
+            entered.set()
+            release.wait(30)
+            return real_document_error(doc, seen_ids)
+
+        monkeypatch.setattr(corpus_module, "_document_error", held_document_error)
+        loaded = []
+        thread = threading.Thread(target=lambda: loaded.append(load_corpus(path)), daemon=True)
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable()
+            thread.start()
+            assert entered.wait(30)
+            gc.disable()
+            release.set()
+            thread.join(30)
+            assert gc.isenabled() is False
+        finally:
+            release.set()
+            (gc.enable if was_enabled else gc.disable)()
+        assert not thread.is_alive()
+        assert [doc.id for doc in loaded[0].documents] == ["d1"]
 
     def test_kind_and_gazetteer_id_round_trip(self, tmp_path):
         path = tmp_path / "c.jsonl"

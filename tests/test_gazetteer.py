@@ -10,13 +10,21 @@ import unicodedata
 
 import pytest
 
-from geobench import GazetteerError, ingest_gazetteer, load_index, save_index
+from geobench import CorpusFormatError, GazetteerError, evaluate, ingest_gazetteer, load_corpus, load_index, save_index
 from geobench.corpus import Corpus, Document, GeoPoint
 from geobench import gazetteer as gazetteer_module
 from geobench.gazetteer import Gazetteer, GazetteerEntry, PlaceColumns, normalize_name
 from geobench.geoparser import BuiltinGeoparser, GeoparserSpec, create_geoparser, resolve_population
-from geobench.harness import CorpusSource, RunConfig, _cache_path, run_benchmark
-from helpers import geonames_row, write_corpus_files
+from geobench.harness import CorpusSource, RunConfig, _cache_path, load_cached, run_benchmark
+from helpers import geonames_row, smoke_corpus_and_gazetteer, write_corpus_files
+
+
+def write_index(path, body: bytes) -> None:
+    """Write an index file whose header holds the digest of `body`, whatever rows the body holds."""
+    h = gazetteer_module._digest_hasher(False)
+    h.update(body)
+    header = {**gazetteer_module._INDEX_HEADER, "fold_diacritics": False, "digest": h.hexdigest()}
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
 
 
 class TestNormalizeName:
@@ -472,23 +480,15 @@ class TestIndexFile:
             load_index(path)
 
     def test_index_body_repeating_an_id_is_refused_when_parsed(self, tmp_path):
-        body = b"1\tA\t\t0.0\t0.0\t\t\t0\t\n1\tB\t\t1.0\t1.0\t\t\t0\t\n"  # two digest rows with id 1
-        h = gazetteer_module._digest_hasher(False)
-        h.update(body)
-        header = {**gazetteer_module._INDEX_HEADER, "fold_diacritics": False, "digest": h.hexdigest()}
         path = tmp_path / "gaz.index"
-        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+        write_index(path, b"1\tA\t\t0.0\t0.0\t\t\t0\t\n1\tB\t\t1.0\t1.0\t\t\t0\t\n")  # two digest rows with id 1
         loaded = load_index(path)
         with pytest.raises(GazetteerError, match="1 malformed index rows {'duplicate id': 1}"):
             loaded.entries
 
     def test_index_body_that_is_not_utf8_is_refused_naming_the_file(self, tmp_path):
-        body = b"1\tA\t\t0.0\t0.0\t\t\t0\t\n2\t\xff\t\t1.0\t1.0\t\t\t0\t\n"
-        h = gazetteer_module._digest_hasher(False)
-        h.update(body)
-        header = {**gazetteer_module._INDEX_HEADER, "fold_diacritics": False, "digest": h.hexdigest()}
         path = tmp_path / "gaz.index"
-        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+        write_index(path, b"1\tA\t\t0.0\t0.0\t\t\t0\t\n2\t\xff\t\t1.0\t1.0\t\t\t0\t\n")
         loaded = load_index(path)
         with pytest.raises(GazetteerError, match=re.escape(f"{path}: malformed index rows: 'utf-8' codec")):
             loaded.entries
@@ -631,23 +631,35 @@ class TestBuildCost:
     @pytest.mark.parametrize("caller_enabled", [True, False], ids=["gc-on", "gc-off"])
     @pytest.mark.parametrize("valid", [True, False], ids=["loads", "raises"])
     def test_gc_state_restored(self, tmp_path, caller_enabled, valid):
+        # each bulk load leaves the collector on or off, and nothing frozen, as its caller had it
+        corpus, gazetteer = smoke_corpus_and_gazetteer(3)
+        corpus_path, _ = write_corpus_files(corpus, tmp_path)
+        evaluate(GeoparserSpec("builtin-baseline", "baseline"), corpus, gazetteer, cache_dir=tmp_path / "cache")
+        cache_file = next((tmp_path / "cache").glob("*.jsonl"))
         tsv = tmp_path / "gaz.tsv"
         tsv.write_text(geonames_row(1, "Nowhere", 45.0 if valid else 91.0, 0.0) + "\n", encoding="utf-8")
         index = tmp_path / "gaz.index"
-        save_index(Gazetteer.from_entries([GazetteerEntry(1, "A", (), GeoPoint(0, 0))]), index)
-        if not valid:
-            with open(index, "a", encoding="utf-8") as fh:
-                fh.write(geonames_row(2, "B", 95.0, 0.0) + "\n")
-        was_enabled = gc.isenabled()
+        write_index(index, f"1\tA\t\t{0.0 if valid else 95.0}\t0.0\t\t\t0\t\n".encode())
+        if not valid:  # the last line of each file fails to decode
+            for path in (corpus_path, cache_file):
+                lines = path.read_text(encoding="utf-8").splitlines()
+                path.write_text("\n".join(lines[:-1] + ["{broken"]) + "\n", encoding="utf-8")
+        was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
         try:
             (gc.enable if caller_enabled else gc.disable)()
-            for load in (lambda: ingest_gazetteer(tsv), lambda: load_index(index)):
-                if valid:
-                    load()
+            for load, error in (
+                (lambda: load_corpus(corpus_path), CorpusFormatError),
+                (lambda: load_cached(corpus, cache_file), None),  # a corrupt entry is a miss, not an error
+                (lambda: ingest_gazetteer(tsv), GazetteerError),
+                (lambda: load_index(index).columns, GazetteerError),  # the first use parses the body
+            ):
+                if valid or error is None:
+                    assert (load() is not None) is valid
                 else:
-                    with pytest.raises(GazetteerError):
+                    with pytest.raises(error):
                         load()
                 assert gc.isenabled() is caller_enabled
+                assert gc.get_freeze_count() == frozen
         finally:
             (gc.enable if was_enabled else gc.disable)()
 

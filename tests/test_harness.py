@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -277,40 +278,51 @@ class TestCache:
         evaluate(BUILTIN, corpus, gazetteer, cache_dir=tmp_path)  # miss, then store
         assert len(calls) == 1
 
-    def test_gc_is_off_during_bulk_decodes_and_restored_after(self, tmp_path, monkeypatch):
+    def test_cli_decodes_with_the_collector_off_and_hands_it_back(self, tmp_path, monkeypatch):
         from geobench import corpus as corpus_module
+        from geobench.cli import main
 
         corpus, gazetteer = smoke_corpus_and_gazetteer(3)
-        corpus_path, _ = write_corpus_files(corpus, tmp_path)
-        evaluate(BUILTIN, corpus, gazetteer, cache_dir=tmp_path / "cache")
-        cache_file = next((tmp_path / "cache").glob("*.jsonl"))
+        corpus_path, manifest_path = write_corpus_files(corpus, tmp_path)
+        save_index(gazetteer, tmp_path / "gaz.index")
+        config = tmp_path / "run.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "corpora": [{"path": corpus_path.name, "manifest": manifest_path.name}],
+                    "gazetteer": {"path": "gaz.index", "schema": "index"},
+                    "geoparsers": [{"kind": "builtin-baseline", "identifier": "baseline"}],
+                    "cache_dir": "cache",
+                }
+            ),
+            encoding="utf-8",
+        )
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "cold")]) == 0
         seen = []
 
         def probe(function):
-            return lambda *args: seen.append(gc.isenabled()) or function(*args)
+            return lambda *args: seen.append((function.__name__, gc.isenabled())) or function(*args)
 
         monkeypatch.setattr(corpus_module, "_document_error", probe(corpus_module._document_error))
         monkeypatch.setattr(harness_module, "parse_response", probe(harness_module.parse_response))
-        was_enabled = gc.isenabled()
+        was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
         try:
             for valid in (True, False):
-                if not valid:  # the last line of each file fails to decode
-                    for path in (corpus_path, cache_file):
-                        lines = path.read_text(encoding="utf-8").splitlines()
-                        path.write_text("\n".join(lines[:-1] + ["{broken"]) + "\n", encoding="utf-8")
+                if not valid:  # the corpus's last line fails to decode: a data error
+                    lines = corpus_path.read_text(encoding="utf-8").splitlines()
+                    corpus_path.write_text("\n".join(lines[:-1] + ["{broken"]) + "\n", encoding="utf-8")
                 for caller_enabled in (True, False):
+                    # no score entries, so the run decodes the corpus and then its cached predictions
+                    shutil.rmtree(tmp_path / "cache" / "scores", ignore_errors=True)
                     (gc.enable if caller_enabled else gc.disable)()
                     seen.clear()
-                    if valid:
-                        assert load_corpus(corpus_path) == corpus
-                    else:
-                        with pytest.raises(CorpusFormatError, match=":3:"):
-                            load_corpus(corpus_path)
+                    out = tmp_path / f"run-{valid}-{caller_enabled}"
+                    assert main(["run", "--config", str(config), "--out", str(out)]) == (0 if valid else 2)
                     assert gc.isenabled() is caller_enabled
-                    loaded = load_cached(corpus, cache_file)
-                    assert (loaded is not None) is valid
-                    assert gc.isenabled() is caller_enabled
-                    assert seen and not any(seen)  # every decoded line was read with the GC off
+                    assert gc.get_freeze_count() == frozen
+                    decoded = {"_document_error", "parse_response"} if valid else {"_document_error"}
+                    assert {name for name, _ in seen} == decoded
+                    assert not any(enabled for _, enabled in seen)
         finally:
             (gc.enable if was_enabled else gc.disable)()
 

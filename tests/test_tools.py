@@ -84,7 +84,7 @@ def load_floor_check():
 
 def test_floor_check_names_the_oldest_allowed_python(tmp_path):
     floor = load_floor_check()
-    assert floor.oldest_python() == "python3.10"
+    assert floor.oldest_python() == "python3.11"
     (tmp_path / "pyproject.toml").write_text('[project]\nrequires-python = ">=3.12"\n', encoding="utf-8")
     assert floor.oldest_python(tmp_path / "pyproject.toml") == "python3.12"
 
@@ -93,7 +93,7 @@ def test_floor_check_skips_without_that_python(monkeypatch, capsys):
     floor = load_floor_check()
     monkeypatch.setattr(floor.shutil, "which", lambda name: None)
     assert floor.main([]) == 0
-    assert capsys.readouterr().out == "floor check skipped: python3.10 is not installed or does not run\n"
+    assert capsys.readouterr().out == "floor check skipped: python3.11 is not installed or does not run\n"
 
 
 def test_floor_check_passes_on_this_python():

@@ -49,7 +49,7 @@ PLACES = [
 
 
 def oldest_python(pyproject: Path = ROOT / "pyproject.toml") -> str:
-    """The command name of the oldest interpreter `requires-python` allows, such as "python3.10"."""
+    """The command name of the oldest interpreter `requires-python` allows, such as "python3.11"."""
     found = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)', pyproject.read_text(encoding="utf-8"), re.M)
     if found is None:
         raise ValueError(f"{pyproject} names no lower bound in requires-python")
