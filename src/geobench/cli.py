@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Subcommands: ingest (validate and summarize a corpus), gazetteer (build a
-name index), run (evaluate geoparsers per a run-config JSON), report and
-compare (render leaderboards from a run directory).
+Subcommands: ingest (validate and summarize a corpus), gazetteer (ingest a
+place table and save it as an index file; like a run, it builds no name
+index), run (evaluate geoparsers per a run-config JSON), report and compare
+(render leaderboards from a run directory).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 adapter error.
 """
@@ -50,11 +51,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--completeness", choices=["complete", "partial"], default="complete",
                    help="used when no manifest is given")
 
-    p = sub.add_parser("gazetteer", help="ingest a place table and report diagnostics")
+    p = sub.add_parser("gazetteer", help="ingest a place table and report diagnostics "
+                       "(names_indexed counts its lexicon's names; no name index is built)")
     p.add_argument("--input", required=True, help="tab-separated place table")
     p.add_argument("--schema", default="geonames", help="'geonames' or a JSON column-map file")
     p.add_argument("--fold-diacritics", action="store_true", help="index names with diacritics stripped")
-    p.add_argument("--out-index", help="write the built index to this file")
+    p.add_argument("--out-index", help="save the ingested places to this index file")
 
     p = sub.add_parser("run", help="evaluate geoparsers per a run-config JSON")
     p.add_argument("--config", required=True, help="RunConfig JSON file")
@@ -117,7 +119,7 @@ def _cmd_gazetteer(args) -> int:
         json.dumps(
             {
                 "entries": len(gazetteer),
-                "names_indexed": len(gazetteer.index),
+                "names_indexed": len(gazetteer.lexicon()),
                 "rows_read": stats.rows_read,
                 "rows_skipped": stats.rows_skipped,
                 "skip_reasons": stats.skip_reasons,

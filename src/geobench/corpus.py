@@ -166,6 +166,8 @@ def _parse_toponym(raw: dict, doc_id: str) -> GoldToponym:
         except OverflowError:  # an integer beyond any float, so beyond any valid coordinate
             raise CorpusFormatError(f"document {doc_id!r}: coordinate out of range for {name!r}") from None
     gaz_id = raw.get("gazetteer_id")
+    if gaz_id is not None and not isinstance(gaz_id, str):
+        raise CorpusFormatError(f"document {doc_id!r}: gazetteer_id of {name!r} must be a string, got {gaz_id!r}")
     kind = raw.get("kind")
     return GoldToponym(start, end, name, point=point, gazetteer_id=gaz_id, kind=kind)
 

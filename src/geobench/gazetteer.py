@@ -2,9 +2,10 @@
 
 Reads tab-separated place tables, either in the standard 19-column GeoNames
 layout or with a user-supplied column map, into parallel columns with one
-row per place, and builds an in-memory index from normalized names (primary
-and alternate) to rows. The built gazetteer is immutable and safe for
-unlimited concurrent readers.
+row per place. Loading builds only the columns; the tables keyed by
+normalized name (primary and alternate) are derived from them on first
+use. The built gazetteer is immutable and safe for unlimited concurrent
+readers.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import unicodedata
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
 
 from .corpus import GeoPoint, hash_file, is_json_int
@@ -166,47 +167,49 @@ def normalize_name(name: str, fold_diacritics: bool = False) -> str:
 
 
 class Gazetteer:
-    """Immutable place table, held as PlaceColumns, with a normalized-name candidate index.
+    """Immutable place table, held as PlaceColumns, with tables by normalized name derived on first use.
 
-    The index maps every normalized primary and alternate name to the rows
-    of the places carrying it; posting lists are kept in ascending id
-    order so that downstream tie-breaking is reproducible. The lexicon and
-    head table the builtin recognizer reads are derived from the index on
-    first use, never saved. A gazetteer loaded from a saved index reads its
-    rows from the file, parses them into columns and builds its index on
-    first use as well.
+    Loading builds only the columns. A builtin run reads two tables, both
+    derived from the name columns on first use and never saved: the
+    lexicon (each name's resolved row) and the head table. The index maps
+    every normalized primary and alternate name to the rows of the places
+    carrying it, in ascending id order so that tie-breaking is
+    reproducible; it is built on the first `lookup` or use of `index`, and
+    a run never builds it. A gazetteer loaded from a saved index reads its
+    rows from the file and parses them into columns on first use as well.
     GazetteerEntry values are built, through their constructor and anew on
     each call, only for `entries`, `lookup` and
     `geoparser.resolve_population`; a run reads the columns.
     """
 
-    def __init__(self, columns: PlaceColumns, index: dict[str, list[int]], fold_diacritics: bool):
+    def __init__(self, columns: PlaceColumns, fold_diacritics: bool):
         self.fold_diacritics = fold_diacritics
         self._digest: str | None = None
-        self._derived: dict = {"tables": (columns, index)}
-        # reentrant: deriving the lexicon reads `index`, which may itself be built on first use
+        self._derived: dict = {"columns": columns}
+        # reentrant: the lexicon and the name index read `columns`, which may itself be parsed on first use, and
+        # the head table reads the lexicon; a run derives only the lexicon and the head table, never the index
         self._derive_lock = threading.RLock()
         # a loaded index's path and body offset: where its rows are read from on first use
         self._index_body: tuple[str, int] | None = None
 
     @classmethod
     def _from_index_body(cls, source: str, offset: int, fold_diacritics: bool, digest: str) -> "Gazetteer":
-        """A gazetteer whose digest is known and whose rows are read and parsed on first use of `columns` or `index`."""
-        gazetteer = cls(PlaceColumns(), {}, fold_diacritics)
-        del gazetteer._derived["tables"]
+        """A gazetteer whose digest is known and whose rows are read and parsed on first use of `columns`."""
+        gazetteer = cls(PlaceColumns(), fold_diacritics)
+        del gazetteer._derived["columns"]
         gazetteer._digest = digest
         gazetteer._index_body = (source, offset)
         return gazetteer
 
     @property
     def columns(self) -> PlaceColumns:
-        """The places, one row each; posting lists and the lexicon hold row numbers into these columns."""
-        return self._derive("tables", self._parse_index_body)[0]
+        """The places, one row each, the only table loading builds; the derived tables hold row numbers into them."""
+        return self._derive("columns", self._parse_index_body)
 
     @property
     def index(self) -> dict[str, list[int]]:
-        """Normalized name -> the rows of the places carrying it, in ascending id order."""
-        return self._derive("tables", self._parse_index_body)[1]
+        """Normalized name -> the rows of the places carrying it, in ascending id order: built on first use."""
+        return self._derive("index", lambda: _name_index(self.columns, self.fold_diacritics))
 
     @property
     def entries(self) -> dict[int, GazetteerEntry]:
@@ -242,7 +245,7 @@ class Gazetteer:
                 entry.population,
                 entry.country,
             )
-        return cls(columns, _name_index(columns, fold_diacritics), fold_diacritics)
+        return cls(columns, fold_diacritics)
 
     def lookup(self, name: str) -> list[GazetteerEntry]:
         """Entries whose primary or alternate normalized name equals the query, ascending id: new ones on each call."""
@@ -253,7 +256,8 @@ class Gazetteer:
 
         With `primary_only`, a name's candidates are only the places whose
         normalized primary name it is; names left with none are omitted.
-        Built on first use and memoized per flag.
+        Built on first use from the name columns, without the index, and
+        memoized per flag.
         """
         return self._derive(("lexicon", primary_only), lambda: self._resolve_names(primary_only))
 
@@ -262,7 +266,8 @@ class Gazetteer:
 
         Names that start with no word character have no head; a text
         n-gram that starts a word can match a name only if that word is a
-        head and the n-gram is no longer than its limit.
+        head and the n-gram is no longer than its limit. Built on first use
+        from the keys of `lexicon()`, which are the index's keys.
         """
         return self._derive("heads", self._head_limits)
 
@@ -276,7 +281,7 @@ class Gazetteer:
                     table = self._derived[slot] = build()
         return table
 
-    def _parse_index_body(self) -> tuple[PlaceColumns, dict[str, list[int]]]:
+    def _parse_index_body(self) -> PlaceColumns:
         source, offset = self._index_body
         try:
             with open(source, "rb") as fh:
@@ -295,28 +300,40 @@ class Gazetteer:
         columns = _read_text_rows(lines, _DIGEST_COLUMNS, stats, f"{source}: malformed index rows")
         if stats.rows_skipped:  # a repeated id too
             raise GazetteerError(f"{source}: {stats.rows_skipped} malformed index rows {stats.skip_reasons}")
-        return columns, _name_index(columns, self.fold_diacritics)
+        return columns
 
     def _resolve_names(self, primary_only: bool) -> dict[str, int]:
+        # One pass over the names, keeping each key's best row so far. The
+        # rule (most populous, then smallest id) is a total order over rows,
+        # so the order the names are visited in cannot change the result.
         columns = self.columns
-        if primary_only:
-            primary = [normalize_name(name, self.fold_diacritics) for name in columns.names]
-        population = columns.population.__getitem__
-        lexicon = {}
-        for key, rows in self.index.items():
-            if primary_only:
-                rows = [row for row in rows if primary[row] == key]
-            if len(rows) == 1:
-                lexicon[key] = rows[0]
-            elif rows:
-                # postings ascend by id, so max() keeps the smallest id on ties
-                lexicon[key] = max(rows, key=population)
+        ids, population = columns.ids, columns.population
+        fold = self.fold_diacritics
+        primary = map(str.casefold, map(" ".join, map(str.split, columns.names)))  # normalize_name, unrolled
+        if fold:
+            primary = map(normalize_name, primary, repeat(True))
+        sources = [enumerate(primary)]
+        if not primary_only:
+            alternates = enumerate(columns.alternates)
+            sources.append((row, normalize_name(name, fold)) for row, names in alternates if names for name in names)
+        lexicon: dict[str, int] = {}
+        get = lexicon.get
+        for named in sources:
+            for row, key in named:
+                best = get(key)
+                if best is None:
+                    if key:
+                        lexicon[key] = row
+                elif population[row] > population[best] or (
+                    population[row] == population[best] and ids[row] < ids[best]
+                ):
+                    lexicon[key] = row
         return lexicon
 
     def _head_limits(self) -> dict[str, int]:
         heads: dict[str, int] = {}
         match = WORD.match
-        for key in self.index:
+        for key in self.lexicon():  # the same keys as the index
             head = match(key)
             if head is not None:
                 head = head.group()
@@ -391,9 +408,9 @@ def _check_schema(schema) -> dict:
 def _name_index(columns: PlaceColumns, fold_diacritics: bool) -> dict[str, list[int]]:
     """Normalized name -> the rows of the places carrying it, in ascending id order (the one indexing rule).
 
-    One pass over the name columns. A posting list fills in row order, so
-    the lists are sorted by id afterwards only if the ids do not ascend
-    with the rows.
+    One pass over the name columns, on first use: a run never makes it. A
+    posting list fills in row order, so the lists are sorted by id
+    afterwards only if the ids do not ascend with the rows.
     """
     index: dict[str, list[int]] = {}
     get = index.get
@@ -420,9 +437,10 @@ def _read_rows(lines, cols: dict, stats: IngestStats) -> PlaceColumns:
 
     In one pass over the lines, each row is parsed and validated, a row
     repeating an earlier id is skipped, and the place is appended to the
-    columns in row order. No GazetteerEntry is built and no name is
-    indexed (see _name_index). Invalid and repeated rows are tallied in
-    `stats`.
+    columns in row order. No GazetteerEntry is built and no table by name
+    is derived. Invalid and repeated rows are tallied in `stats`. While the
+    accepted ids ascend, as in index bodies and GeoNames dumps, a repeat is
+    found with no set of ids; the first id that does not ascend builds one.
     """
     id_c, name_c = cols["id"], cols["name"]
     lat_c, lon_c = cols["lat"], cols["lon"]
@@ -439,7 +457,8 @@ def _read_rows(lines, cols: dict, stats: IngestStats) -> PlaceColumns:
     add_id, add_name, add_alternates, add_lat, add_lon, add_fcl, add_fco, add_population, add_country = (
         column.append for column in columns._columns()
     )
-    seen: set[int] = set()
+    last = _INT64_MIN - 1  # the last id accepted while the ids ascend
+    seen: set[int] | None = None  # every id accepted, once they have not ascended
     for line in lines:
         stats.rows_read += 1
         parts = line.split("\t", split_at)
@@ -479,10 +498,15 @@ def _read_rows(lines, cols: dict, stats: IngestStats) -> PlaceColumns:
             if not 0 <= population <= _INT64_MAX:
                 stats.skip("bad population")
                 continue
-        if entry_id in seen:
-            stats.skip("duplicate id")
-            continue
-        seen.add(entry_id)
+        if seen is None and entry_id > last:
+            last = entry_id
+        else:
+            if seen is None:
+                seen = set(columns.ids)
+            if entry_id in seen:
+                stats.skip("duplicate id")
+                continue
+            seen.add(entry_id)
         alternates = ()
         if alt_c is not None and parts[alt_c]:
             alternates = tuple(a.strip() for a in parts[alt_c].split(",") if a.strip())
@@ -520,10 +544,10 @@ def ingest_gazetteer(
     unreadable file or zero valid rows is.
 
     One pass, reading the file line by line, fills the place columns, and
-    one pass over their names builds the name index; neither builds a
-    GazetteerEntry. The ingest hashes nothing: the
-    gazetteer's `digest()` is computed on its first call, so a caller that
-    needs no cache key never pays for it.
+    builds no GazetteerEntry. The ingest builds only the columns and hashes
+    nothing: the lexicon and head table a builtin run reads, the name index
+    that only `lookup` reads, and `digest()` are each built on first use,
+    so a caller that needs none of them never pays for it.
     """
     cols = _check_schema(schema)
     stats = IngestStats()
@@ -533,11 +557,10 @@ def ingest_gazetteer(
         raise GazetteerError(f"cannot read gazetteer file {path}: {exc}") from exc
     with fh:
         columns = _read_text_rows(fh, cols, stats, f"{path}: malformed gazetteer rows")
-        index = _name_index(columns, fold_diacritics)
     stats.rows_ingested = len(columns)
     if not columns:
         raise GazetteerError(f"no valid rows in gazetteer file {path}")
-    return Gazetteer(columns, index, fold_diacritics), stats
+    return Gazetteer(columns, fold_diacritics), stats
 
 
 # A saved index is this JSON header line, which also holds the fold flag and
@@ -579,7 +602,7 @@ def load_index(path: str | Path) -> Gazetteer:
     against the digest in the header; a file that fails the check is
     refused. The gazetteer keeps only the path, the body's offset, the fold
     flag and the digest, so a caller that needs only `digest()` holds none
-    of the body. On first use of the columns or the name index, the body is
+    of the body. On first use of the columns, the body is
     read again, checked against the digest once more (a file changed since
     the load is refused) and parsed.
     """

@@ -260,6 +260,15 @@ class TestLoad:
         assert top.gazetteer_id == "2950159"
         assert top.kind == "admin-unit"
 
+    @pytest.mark.parametrize("gazetteer_id", [[1, 2], 2950159, {"id": "2950159"}, True])
+    def test_gazetteer_id_that_is_not_a_string_is_refused_naming_line_and_document(self, tmp_path, gazetteer_id):
+        path = tmp_path / "c.jsonl"
+        berlin = {"start": 0, "end": 6, "name": "Berlin", "gazetteer_id": gazetteer_id}
+        write_lines(path, [dict(BERLIN_DOC, id="d0"), dict(BERLIN_DOC, toponyms=[berlin])])
+        message = f"{path}:2: document 'd1': gazetteer_id of 'Berlin' must be a string, got {gazetteer_id!r}"
+        with pytest.raises(CorpusFormatError, match=re.escape(message)):
+            load_corpus(path)
+
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
         record = dict(BERLIN_DOC, toponyms=[{"start": 0, "end": 6, "name": "Berlin", "kind": "mountain"}])

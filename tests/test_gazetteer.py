@@ -11,9 +11,10 @@ import unicodedata
 import pytest
 
 from geobench import CorpusFormatError, GazetteerError, evaluate, ingest_gazetteer, load_corpus, load_index, save_index
+from geobench.cli import main
 from geobench.corpus import Corpus, Document, GeoPoint
 from geobench import gazetteer as gazetteer_module
-from geobench.gazetteer import Gazetteer, GazetteerEntry, PlaceColumns, normalize_name
+from geobench.gazetteer import GEONAMES_COLUMNS, Gazetteer, GazetteerEntry, IngestStats, PlaceColumns, normalize_name
 from geobench.geoparser import BuiltinGeoparser, GeoparserSpec, create_geoparser, resolve_population
 from geobench.harness import CorpusSource, RunConfig, _cache_path, load_cached, run_benchmark
 from helpers import geonames_row, smoke_corpus_and_gazetteer, write_corpus_files
@@ -725,6 +726,109 @@ class TestBuildCost:
         gazetteer, _ = ingest_gazetteer(three_row_fixture(tmp_path))
         save_index(gazetteer, tmp_path / "gaz.index")
         load_index(tmp_path / "gaz.index")
+
+    def test_no_run_path_builds_the_name_index(self, tmp_path, monkeypatch, capsys):
+        # only `lookup` and `index` read the posting lists
+        tsv = write_rows(tmp_path / "gaz.tsv", keyed_rows(ascending=False))
+        documents = (Document("a", "From Paris to Zürich and Ōsaka.", ()), Document("b", "Sampa, then Paname.", ()))
+        corpus_path, _ = write_corpus_files(Corpus("c", documents), tmp_path)
+        real_name_index = gazetteer_module._name_index
+
+        def refuse(*args):
+            raise AssertionError("name index built")
+
+        monkeypatch.setattr(gazetteer_module, "_name_index", refuse)
+        index = tmp_path / "gaz.index"
+        assert main(["gazetteer", "--input", str(tsv), "--out-index", str(index)]) == 0
+        names_indexed = json.loads(capsys.readouterr().out)["names_indexed"]
+        reports = []
+        for path, schema in ((tsv, "geonames"), (index, "index")):
+            config = RunConfig(
+                corpora=(CorpusSource("c", str(corpus_path)),),
+                gazetteer_path=str(path),
+                gazetteer_schema=schema,
+                geoparsers=(
+                    GeoparserSpec("builtin-baseline", "b"),
+                    GeoparserSpec("builtin-baseline", "p", {"primary_names_only": True}),
+                ),
+                cache_dir=str(tmp_path / f"cache-{schema}"),
+            )
+            run_benchmark(config, tmp_path / schema)
+            reports.append([(tmp_path / schema / "reports" / f"c__{g}.json").read_bytes() for g in ("b", "p")])
+        assert reports[0] == reports[1]
+        assert [json.loads(r)["counts"]["predicted"] for r in reports[0]] == [5, 3]
+
+        monkeypatch.setattr(gazetteer_module, "_name_index", real_name_index)
+        gazetteer, _ = ingest_gazetteer(tsv)
+        assert "index" not in gazetteer._derived
+        places = gazetteer.entries.values()
+        for query in ["Sampa", " zurich", "PARIS", "Ōsaka", "Atlantis"]:
+            key = normalize_name(query)
+            scanned = sorted(e.id for e in places if key in map(normalize_name, (e.primary_name, *e.alternate_names)))
+            assert [e.id for e in gazetteer.lookup(query)] == scanned
+        assert "index" in gazetteer._derived  # the first lookup built it
+        assert names_indexed == len(gazetteer.index) == len(gazetteer.lexicon()) == 10
+
+
+def reference_read_rows(lines, cols, stats):
+    """`_read_rows` with the duplicate-id rule applied through a set from the first row: the reference."""
+    columns, seen = PlaceColumns(), set()
+    for line in lines:
+        row_stats = IngestStats()
+        parsed = gazetteer_module._read_rows([line], cols, row_stats)  # one row: it cannot repeat an id
+        stats.rows_read += 1
+        if row_stats.rows_skipped:
+            (reason,) = row_stats.skip_reasons
+            stats.skip(reason)
+        elif parsed.ids[0] in seen:
+            stats.skip("duplicate id")
+        else:
+            seen.add(parsed.ids[0])
+            columns.append(*parsed.fields(0))
+    return columns
+
+
+def id_table(rng):
+    """Ids that ascend, then may stop ascending part-way, with repeats before and after the break."""
+    ids = sorted(rng.sample(range(-20, 60), rng.randrange(0, 14)))
+    for _ in range(rng.randrange(0, 5)):
+        position = rng.randrange(len(ids) + 1)
+        repeat = rng.random() < 0.6 and ids[:position]
+        ids.insert(position, rng.choice(ids[:position]) if repeat else rng.randrange(-25, 65))
+    return ids
+
+
+class TestDuplicateIds:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(1, True), (2, True), (3, True)],
+            [(1, True), (1, True), (2, True)],  # a repeat while ascending
+            [(5, True), (3, True), (5, True), (3, True), (4, True)],  # repeats after the break
+            [(1, True), (2, False), (2, True), (2, True)],  # an invalid row's id reused by a valid row
+            [(3, True), (1, False), (2, True), (1, True), (2, True)],  # the same after the break
+            [(-(2**63), True), (-(2**63), True), (2**63 - 1, True), (2**63 - 1, True)],
+        ],
+        ids=["ascending", "repeat-before-break", "repeats-after-break", "invalid-then-reused",
+             "invalid-then-reused-after-break", "int64-ends"],
+    )
+    def test_examples(self, rows):
+        self.check(rows)
+
+    def test_against_a_set_based_reader(self):
+        rng = random.Random(31)
+        for _ in range(500):
+            self.check([(entry_id, rng.random() < 0.8) for entry_id in id_table(rng)])
+
+    @staticmethod
+    def check(rows):
+        # an invalid row has an out-of-range latitude; the names tell apart rows that share an id
+        lines = [geonames_row(i, f"Place{n}", 1.0 if valid else 91.0, 2.0) + "\n" for n, (i, valid) in enumerate(rows)]
+        got_stats, want_stats = IngestStats(), IngestStats()
+        got = gazetteer_module._read_rows(lines, GEONAMES_COLUMNS, got_stats)
+        want = reference_read_rows(lines, GEONAMES_COLUMNS, want_stats)
+        assert [got.fields(r) for r in range(len(got))] == [want.fields(r) for r in range(len(want))], rows
+        assert got_stats == want_stats, rows
 
 
 class TestLexicon:
