@@ -17,12 +17,17 @@ import hashlib
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 TOPONYM_KINDS = ("admin-unit", "demonym", "natural-feature", "facility", "other")
 COMPLETENESS_VALUES = ("complete", "partial")
+
+# UTF-8 decoding refuses a literal surrogate, so only a JSON escape of one (\uD800-\uDFFF) brings one into a string
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 class CorpusFormatError(Exception):
@@ -119,6 +124,12 @@ def _document_error(doc: Document, seen_ids: set[str]) -> str | None:
     return None
 
 
+def check_completeness(value, where: str = "") -> None:
+    """Refuse, with a CorpusFormatError prefixed by `where`, a completeness that is not "complete" or "partial"."""
+    if value not in COMPLETENESS_VALUES:
+        raise CorpusFormatError(f"{where}completeness must be one of {COMPLETENESS_VALUES}, got {value!r}")
+
+
 def is_json_int(value) -> bool:
     """Whether a decoded JSON value is an integer; JSON true and false decode to bool, a subclass of int."""
     return type(value) is int
@@ -185,8 +196,7 @@ def load_corpus(
     that hashed them knows the corpus came from exactly those bytes.
     """
     path = Path(path)
-    if completeness not in COMPLETENESS_VALUES:
-        raise CorpusFormatError(f"completeness must be one of {COMPLETENESS_VALUES}, got {completeness!r}")
+    check_completeness(completeness)
     corpus_name = name if name is not None else path.stem
     documents = []
     seen_ids = set()
@@ -218,6 +228,9 @@ def load_corpus(
                     raise CorpusFormatError(f"{path}:{lineno}: {exc}") from None
                 doc = Document(id=doc_id, text=text, gold=tuple(gold), source=corpus_name)
                 error = _document_error(doc, seen_ids)
+                # a lone surrogate loads, but no UTF-8 file, cache key or output can hold it
+                if not error and _SURROGATE_ESCAPE.search(line) and _SURROGATE.search(document_to_json_line(doc)):
+                    error = "a string holds a lone surrogate (\\uD800-\\uDFFF), which UTF-8 cannot encode"
                 if error:
                     raise CorpusFormatError(f"{path}:{lineno}: {error} (document {doc_id!r})")
                 documents.append(doc)
@@ -259,8 +272,7 @@ def load_manifest(path: str | Path) -> dict:
         raise CorpusFormatError(f"malformed manifest {path}: {exc}") from None
     if not isinstance(raw, dict) or not isinstance(raw.get("name"), str):
         raise CorpusFormatError(f"manifest {path} must be an object with a string 'name'")
-    if raw.get("completeness") not in COMPLETENESS_VALUES:
-        raise CorpusFormatError(f"manifest {path}: completeness must be one of {COMPLETENESS_VALUES}")
+    check_completeness(raw.get("completeness"), f"manifest {path}: ")
     return {"name": raw["name"], "completeness": raw["completeness"]}
 
 

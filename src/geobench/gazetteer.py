@@ -21,7 +21,8 @@ import unicodedata
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
+from operator import itemgetter
 from pathlib import Path
 
 from .corpus import GeoPoint, hash_file, is_json_int
@@ -308,26 +309,14 @@ class Gazetteer:
         # so the order the names are visited in cannot change the result.
         columns = self.columns
         ids, population = columns.ids, columns.population
-        fold = self.fold_diacritics
-        primary = map(str.casefold, map(" ".join, map(str.split, columns.names)))  # normalize_name, unrolled
-        if fold:
-            primary = map(normalize_name, primary, repeat(True))
-        sources = [enumerate(primary)]
-        if not primary_only:
-            alternates = enumerate(columns.alternates)
-            sources.append((row, normalize_name(name, fold)) for row, names in alternates if names for name in names)
         lexicon: dict[str, int] = {}
         get = lexicon.get
-        for named in sources:
-            for row, key in named:
-                best = get(key)
-                if best is None:
-                    if key:
-                        lexicon[key] = row
-                elif population[row] > population[best] or (
-                    population[row] == population[best] and ids[row] < ids[best]
-                ):
-                    lexicon[key] = row
+        for row, key in _named_rows(columns, self.fold_diacritics, primary_only):
+            best = get(key)
+            if best is None or population[row] > population[best] or (
+                population[row] == population[best] and ids[row] < ids[best]
+            ):
+                lexicon[key] = row
         return lexicon
 
     def _head_limits(self) -> dict[str, int]:
@@ -405,30 +394,35 @@ def _check_schema(schema) -> dict:
     return schema
 
 
+def _named_rows(columns: PlaceColumns, fold: bool, primary_only: bool) -> Iterator[tuple[int, str]]:
+    """(row, normalized name) for every name of every row that normalizes to a non-empty name, in one pass.
+
+    The primary names come first, then the alternates unless `primary_only`;
+    a row repeats when two of its names normalize alike.
+    """
+    primary = map(str.casefold, map(" ".join, map(str.split, columns.names)))  # normalize_name, unrolled
+    if fold:
+        primary = map(normalize_name, primary, repeat(True))
+    named = enumerate(primary)
+    if not primary_only:
+        alternates = enumerate(columns.alternates)
+        named = chain(named, ((row, normalize_name(name, fold)) for row, alts in alternates if alts for name in alts))
+    return filter(itemgetter(1), named)
+
+
 def _name_index(columns: PlaceColumns, fold_diacritics: bool) -> dict[str, list[int]]:
     """Normalized name -> the rows of the places carrying it, in ascending id order (the one indexing rule).
 
-    One pass over the name columns, on first use: a run never makes it. A
-    posting list fills in row order, so the lists are sorted by id
-    afterwards only if the ids do not ascend with the rows.
+    Built from `_named_rows` on first use: a run never makes it. A posting
+    list of more than one row is deduplicated and sorted by id.
     """
     index: dict[str, list[int]] = {}
-    get = index.get
-    for row, (name, alternates) in enumerate(zip(columns.names, columns.alternates)):
-        for each in (name, *alternates):
-            key = " ".join(each.split()).casefold()  # normalize_name, inlined: this runs for every name of every row
-            if fold_diacritics:
-                key = normalize_name(key, True)
-            if key:
-                postings = get(key)
-                if postings is None:
-                    index[key] = [row]
-                elif postings[-1] != row:
-                    postings.append(row)
-    if not columns.ascending():
-        by_id = columns.ids.__getitem__
-        for postings in index.values():
-            postings.sort(key=by_id)
+    for row, key in _named_rows(columns, fold_diacritics, False):
+        index.setdefault(key, []).append(row)
+    by_id = columns.ids.__getitem__
+    for key, rows in index.items():
+        if len(rows) > 1:
+            index[key] = sorted(set(rows), key=by_id)
     return index
 
 

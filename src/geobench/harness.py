@@ -1,11 +1,12 @@
 """Evaluation runs: orchestration, prediction and score caches, leaderboards, rendering.
 
-evaluate() runs one geoparser over one corpus and micro-averages the
-results into an EvalReport; run_benchmark() drives a whole RunConfig and
-writes reports and per-corpus leaderboards to a run directory. Reports are
-deterministic: documents are dispatched to workers in any order but merged
-and aggregated in document-id order, so worker count never changes output
-bytes.
+evaluate() runs one geoparser over one corpus and scores it with
+metrics.score_corpus; run_benchmark() drives a whole RunConfig and writes
+reports and per-corpus leaderboards to a run directory. Reports are
+deterministic: documents are dispatched to workers in any order, and
+score_corpus pools them in document-id order, so worker count never
+changes output bytes. The three caches (corpus keys, predictions, scores)
+share one entry policy: _read_entry and _store.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from io import StringIO
 from pathlib import Path
 
@@ -27,6 +29,7 @@ from .adapters import AdapterError, AdapterProtocolError, parse_response
 from .corpus import (
     Corpus,
     CorpusFormatError,
+    check_completeness,
     document_to_json_line,
     hash_file,
     is_json_int,
@@ -36,16 +39,7 @@ from .corpus import (
 )
 from .gazetteer import Gazetteer, GazetteerError, _check_schema, ingest_gazetteer, load_index
 from .geoparser import BUILTIN_VERSION, GeoparserSpec, PredictedToponym, create_geoparser
-from .metrics import (
-    REPORT_METRICS,
-    SCORING_VERSION,
-    EvalReport,
-    MetricsConfig,
-    align,
-    build_report,
-    distance_errors,
-    warn_missing_gold,
-)
+from .metrics import REPORT_METRICS, SCORING_VERSION, EvalReport, MetricsConfig, score_corpus
 
 # Text/CSV column order for rendered leaderboards.
 METRIC_COLUMNS = ("precision", "recall", "f_score", "accuracy", "mean", "median", "auc", "acc_at_161")
@@ -59,7 +53,7 @@ FAILURE_ABORT_FRACTION = 0.10
 log = logging.getLogger(__name__)
 
 # a remembered corpus key: one corpus_digest and a newline
-_DIGEST_LINE = re.compile(rb"[0-9a-f]{64}\n")
+_DIGEST_LINE = re.compile(r"[0-9a-f]{64}\n")
 
 
 class RunConfigError(Exception):
@@ -94,6 +88,11 @@ class RunConfig:
         names = [c.name for c in self.corpora]
         if len(set(names)) != len(names):
             raise RunConfigError("corpus names must be unique")
+        for c in self.corpora:  # checked here, so that a bad corpus fails the run before any report is written
+            try:
+                check_completeness(c.completeness, f"corpus {c.name!r}: ")
+            except CorpusFormatError as exc:
+                raise RunConfigError(str(exc)) from None
         ids = [g.identifier for g in self.geoparsers]
         if len(set(ids)) != len(ids):
             raise RunConfigError("geoparser identifiers must be unique")
@@ -191,28 +190,46 @@ def corpus_digest(corpus: Corpus) -> str:
     return h.hexdigest()
 
 
-def _remembered_digest(entry: Path) -> str | None:
-    """The corpus_digest remembered in <cache_dir>/corpora/<sha256 of the corpus file's bytes>, or None.
+def _read_entry(path: Path, what: str, decode):
+    """`decode` of the cache entry at `path`, opened as text, or None on a miss: the read policy of every cache.
 
-    The digest renders every document again, so it is remembered and
-    computed only for file bytes not seen before. An entry that holds no
-    digest is logged and counts as not remembered.
+    A missing entry is a silent miss. One that cannot be read, or whose
+    content `decode` refuses, is logged as corrupt and is a miss too.
     """
     try:
-        remembered = entry.read_bytes()
-    except OSError:
-        return None  # not remembered yet; if it cannot be written either, that is logged by _remember_digest
-    if _DIGEST_LINE.fullmatch(remembered):
-        return remembered[:-1].decode("ascii")
-    log.warning("corpus key %s corrupt; recomputing", entry.name)
-    return None
+        with open(path, encoding="utf-8", newline="") as fh:
+            return decode(fh)
+    except (FileNotFoundError, NotADirectoryError):
+        return None
+    except (OSError, AttributeError, TypeError, ValueError, AdapterProtocolError) as exc:
+        log.warning("%s %s corrupt (%s); recomputing", what, path.name, exc)
+        return None
 
 
-def _remember_digest(entry: Path, digest: str) -> None:
+def _store(path: Path, lines, what: str) -> bool:
+    """Write the lines to `path` through a temporary file beside it, atomically; a failed write is logged."""
+    tmp = None
     try:
-        _write_atomically(entry, [digest + "\n"])
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        os.replace(tmp, path)
+        return True
     except OSError as exc:
-        log.warning("corpus key %s not written (%s)", entry.name, exc)
+        log.warning("%s %s not written (%s)", what, path.name, exc)
+        return False
+    finally:
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _remembered_digest(fh) -> str:
+    # a corpus key, <cache_dir>/corpora/<sha256 of the corpus file's bytes>, holds its corpus_digest and a newline
+    remembered = fh.read()
+    if not _DIGEST_LINE.fullmatch(remembered):
+        raise ValueError("not a corpus digest and a newline")
+    return remembered[:-1]
 
 
 def _safe_name(name: str) -> str:
@@ -243,26 +260,15 @@ def _score_path(prediction_path: Path, config: MetricsConfig, completeness: str)
     return prediction_path.parent / "scores" / hashlib.sha256(key.encode()).hexdigest()
 
 
-def _load_score(path: Path, identifier: str, corpus_name: str) -> EvalReport | None:
-    """The report stored at `path`, or None on a miss or a corrupt entry (logged).
-
-    An entry is used only if it reads back as exactly the report it holds
-    and names this geoparser and corpus: a prediction-cache file name, and
-    so a score key, is shared by names that differ only in what _safe_name
-    replaces.
-    """
-    try:
-        raw = json.loads(path.read_bytes())
-        report = EvalReport.from_dict(raw)
-        if report.to_dict() != raw:
-            raise ValueError("not a report as geobench writes it")
-        if (report.geoparser, report.corpus) != (identifier, corpus_name):
-            raise ValueError(f"the report of {report.geoparser!r} on {report.corpus!r}")
-    except (FileNotFoundError, NotADirectoryError):
-        return None
-    except (OSError, AttributeError, TypeError, ValueError) as exc:
-        log.warning("score entry %s corrupt (%s); recomputing", path.name, exc)
-        return None
+def _stored_report(identifier: str, corpus_name: str, fh) -> EvalReport:
+    # a score entry's report, if it reads back as exactly that report and names this geoparser and corpus: a
+    # prediction-cache file name, and so a score key, is shared by names that differ only in what _safe_name replaces
+    raw = json.loads(fh.read())
+    report = EvalReport.from_dict(raw)
+    if report.to_dict() != raw:
+        raise ValueError("not a report as geobench writes it")
+    if (report.geoparser, report.corpus) != (identifier, corpus_name):
+        raise ValueError(f"the report of {report.geoparser!r} on {report.corpus!r}")
     return report
 
 
@@ -276,8 +282,8 @@ def _prediction_to_wire(p: PredictedToponym) -> dict:
     return out
 
 
-def cache_predictions(corpus: Corpus, predictions: dict[str, list[PredictedToponym]], path: Path) -> None:
-    """Store per-document predictions at `path` (a _cache_path) in adapter-response format, atomically."""
+def cache_predictions(corpus: Corpus, predictions: dict[str, list[PredictedToponym]], path: Path) -> bool:
+    """Store per-document predictions at `path` (a _cache_path) in adapter-response format: whether they were."""
     lines = (
         json.dumps(
             {"id": doc.id, "toponyms": [_prediction_to_wire(p) for p in predictions[doc.id]]},
@@ -287,63 +293,46 @@ def cache_predictions(corpus: Corpus, predictions: dict[str, list[PredictedTopon
         + "\n"
         for doc in corpus.documents
     )
-    _write_atomically(path, lines)
-
-
-def _write_atomically(path: Path, lines) -> None:
-    """Write the lines to a temporary file beside `path`, then move it into place."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.writelines(lines)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    return _store(path, lines, "cache entry")
 
 
 def load_cached(corpus: Corpus, path: Path) -> dict[str, list[PredictedToponym]] | None:
-    """Reload the predictions cached at `path` (a _cache_path), or None on a miss or a corrupt entry.
+    """Reload the predictions cached at `path` (a _cache_path), or None on a miss or a corrupt entry (_read_entry).
 
     The file holds one adapter response per document, in corpus order, and
-    is read through the adapters' decoder. A line count or id that does not
-    match the corpus, or any dropped prediction, makes the entry corrupt:
-    that is logged and the predictions are recomputed. The file is read one
-    line at a time.
+    is read one line at a time through the adapters' decoder. A line count
+    or id that does not match the corpus, or any dropped prediction, makes
+    the entry corrupt.
     """
-    if not path.exists():
-        return None
-    loaded: dict[str, list[PredictedToponym]] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            # zip takes the next document first, so it stops before reading a line past the last document
-            for doc, line in zip(corpus.documents, fh):
-                predictions, dropped = parse_response(doc, line)
-                if dropped:
-                    raise ValueError(f"{dropped} invalid predictions for {doc.id!r}")
-                loaded[doc.id] = predictions
-            count = len(loaded) + sum(1 for _ in fh)
+
+    def decode(fh) -> dict[str, list[PredictedToponym]]:
+        loaded = {}
+        # zip takes the next document first, so it stops before reading a line past the last document
+        for doc, line in zip(corpus.documents, fh):
+            predictions, dropped = parse_response(doc, line)
+            if dropped:
+                raise ValueError(f"{dropped} invalid predictions for {doc.id!r}")
+            loaded[doc.id] = predictions
+        count = len(loaded) + sum(1 for _ in fh)
         if count != len(corpus.documents):
             raise ValueError(f"{count} lines for {len(corpus.documents)} documents")
-    except (OSError, ValueError, AdapterProtocolError) as exc:
-        log.warning("cache entry %s corrupt (%s); recomputing", path.name, exc)
-        return None
-    return loaded
+        return loaded
+
+    return _read_entry(path, "cache entry", decode)
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 
 
-def _parse_all(spec, corpus, gazetteer, workers):
-    """Parse every document; returns {doc_id: (preds, dropped, error_msg)}.
+def _parse_all(spec, corpus, gazetteer, workers) -> tuple[dict[str, list[PredictedToponym]], list[str]]:
+    """Parse every document under the failure policy; returns ({doc_id: predictions}, warnings).
 
-    Each worker thread lazily creates its own geoparser instance, so
-    external-process adapters never share a child across threads. The
-    builtin is CPU-bound Python, which threads only slow down, so it always
-    parses on the calling thread.
+    A failed document scores as zero predictions and is named in the
+    warnings, as is a count of dropped predictions; if more than
+    FAILURE_ABORT_FRACTION fail, an AdapterError cites the lowest failed id.
+    Each worker thread lazily creates its own geoparser, so no two threads
+    share a child; the builtin, CPU-bound, parses on the calling thread.
     """
     local = threading.local()
     instances = []
@@ -374,7 +363,20 @@ def _parse_all(spec, corpus, gazetteer, workers):
     finally:
         for parser in instances:
             parser.close()
-    return results
+    failed = sorted(doc_id for doc_id, (_, _, err) in results.items() if err is not None)
+    if len(failed) > FAILURE_ABORT_FRACTION * len(corpus.documents):
+        raise AdapterError(
+            f"geoparser {spec.identifier!r} failed on {len(failed)}/{len(corpus.documents)} documents "
+            f"of corpus {corpus.name!r} (first error: {results[failed[0]][2]})"
+        )
+    warnings = []
+    if failed:
+        shown = ", ".join(failed[:10]) + (", ..." if len(failed) > 10 else "")
+        warnings.append(f"{len(failed)} documents failed and scored zero predictions: {shown}")
+    dropped_total = sum(dropped for _, dropped, _ in results.values())
+    if dropped_total:
+        warnings.append(f"{dropped_total} invalid predictions dropped")
+    return {doc_id: preds for doc_id, (preds, _, _) in results.items()}, warnings
 
 
 def evaluate(
@@ -387,80 +389,30 @@ def evaluate(
     workers: int = 1,
     corpus_hash: str | None = None,
 ) -> EvalReport:
-    """Run one geoparser over one corpus and score it.
+    """Run one geoparser over one corpus and score it: cache lookup, _parse_all on a miss, score_corpus, store.
 
-    Counts are pooled over documents (micro-averaging) in document-id
-    order. Documents whose adapter call failed score as zero predictions
-    and are listed in the report warnings; if more than 10% fail the run
-    aborts with an AdapterError. `corpus_hash` is the corpus's
-    `corpus_digest`, for callers that evaluate one corpus several times.
-    With a `cache_dir`, the report is also stored as a score entry whenever
-    its predictions are in the prediction cache: read from it, or stored in
-    it after a warning-free parse.
+    With a `cache_dir`, a warning-free parse is stored, and the report is
+    stored as a score entry whenever its predictions are in the prediction
+    cache, so never beside a parse that one timeout made. `corpus_hash` is
+    the corpus's `corpus_digest`, for callers that evaluate it several times.
     """
     config = config or MetricsConfig()
-    warnings: list[str] = []
-
     predictions = cache_path = None
+    warnings: list[str] = []
     if cache_dir is not None:
         cache_path = _cache_path(cache_dir, spec, corpus.name, corpus_hash or corpus_digest(corpus), gazetteer)
         predictions = load_cached(corpus, cache_path)
     cached = predictions is not None
-    if predictions is None:
-        results = _parse_all(spec, corpus, gazetteer, workers)
-        failed = sorted(doc_id for doc_id, (_, _, err) in results.items() if err is not None)
-        if corpus.documents and len(failed) > FAILURE_ABORT_FRACTION * len(corpus.documents):
-            first = next(err for _, (_, _, err) in sorted(results.items()) if err is not None)
-            raise AdapterError(
-                f"geoparser {spec.identifier!r} failed on {len(failed)}/{len(corpus.documents)} documents "
-                f"of corpus {corpus.name!r} (first error: {first})"
-            )
-        if failed:
-            shown = ", ".join(failed[:10]) + (", ..." if len(failed) > 10 else "")
-            warnings.append(f"{len(failed)} documents failed and scored zero predictions: {shown}")
-        dropped_total = sum(dropped for _, dropped, _ in results.values())
-        if dropped_total:
-            warnings.append(f"{dropped_total} invalid predictions dropped")
-        predictions = {doc_id: preds for doc_id, (preds, _, _) in results.items()}
-        if cache_dir is not None and not warnings:  # so that a hit reproduces this report
-            try:
-                cache_predictions(corpus, predictions, cache_path)
-                cached = True
-            except OSError as exc:
-                log.warning("cache entry %s not written (%s)", cache_path.name, exc)
-
-    gold_total = pred_total = matched_total = unresolved_total = missing_gold_total = 0
-    pooled_distances: list[float] = []
-    for doc in sorted(corpus.documents, key=lambda d: d.id):
-        preds = predictions[doc.id]
-        matching = align(doc.gold, preds, config.match_mode)
-        gold_total += len(doc.gold)
-        pred_total += len(preds)
-        matched_total += len(matching.pairs)
-        errors = distance_errors(matching, doc.gold, preds, config.earth_radius_km)
-        unresolved_total += errors.unresolved_matched
-        missing_gold_total += errors.missing_gold_points
-        pooled_distances.extend(errors.distances)
-    warn_missing_gold(missing_gold_total, warnings)
-
-    report = build_report(
-        gold_count=gold_total,
-        pred_count=pred_total,
-        matched=matched_total,
-        unresolved_matched=unresolved_total,
-        distances=pooled_distances,
-        config=config,
-        completeness=corpus.completeness,
-        warnings=warnings,
-        geoparser=spec.identifier,
-        corpus=corpus.name,
+    if not cached:
+        predictions, warnings = _parse_all(spec, corpus, gazetteer, workers)
+        # only a warning-free parse, so that a hit reproduces this report
+        cached = cache_path is not None and not warnings and cache_predictions(corpus, predictions, cache_path)
+    report = score_corpus(
+        corpus.documents, predictions, config, corpus.completeness, warnings, spec.identifier, corpus.name
     )
-    if cached:  # not beside a parse that failed or dropped predictions, so never a report that one timeout made
-        score_path = _score_path(cache_path, config, corpus.completeness)
-        try:
-            _write_atomically(score_path, [json.dumps(report.to_dict(), sort_keys=True) + "\n"])
-        except OSError as exc:
-            log.warning("score entry %s not written (%s)", score_path.name, exc)
+    if cached:
+        stored = json.dumps(report.to_dict(), sort_keys=True) + "\n"
+        _store(_score_path(cache_path, config, corpus.completeness), [stored], "score entry")
     return report
 
 
@@ -597,12 +549,12 @@ def _evaluate_corpus(
         except OSError as exc:
             raise CorpusFormatError(f"cannot read corpus file {source.path}: {exc}") from exc
         key = Path(cache_dir) / "corpora" / file_hash
-        corpus_hash = _remembered_digest(key)
+        corpus_hash = _read_entry(key, "corpus key", _remembered_digest)
         if corpus_hash is not None:
             for i, spec in enumerate(config.geoparsers):
                 predictions = _cache_path(cache_dir, spec, source.name, corpus_hash, gazetteer)
                 score = _score_path(predictions, config.metrics, source.completeness)
-                reports[i] = _load_score(score, spec.identifier, source.name)
+                reports[i] = _read_entry(score, "score entry", partial(_stored_report, spec.identifier, source.name))
         if None in reports:
             corpus = _load_hashed_corpus(source, file_hash)
     rows = []
@@ -611,7 +563,7 @@ def _evaluate_corpus(
         if report is None:
             if cache_dir is not None and corpus_hash is None:  # once per corpus, as part of its first evaluation
                 corpus_hash = corpus_digest(corpus)
-                _remember_digest(key, corpus_hash)
+                _store(key, [corpus_hash + "\n"], "corpus key")
             report = evaluate(
                 spec, corpus, gazetteer, config.metrics, cache_dir=cache_dir, workers=workers, corpus_hash=corpus_hash
             )

@@ -1,10 +1,12 @@
-"""Span alignment and the eight evaluation metrics.
+"""Span alignment, the eight evaluation metrics, and the pooling of a corpus's documents into one report.
 
 Recognition quality is scored with precision/recall/F1 (or accuracy alone
 for partially annotated corpora); resolution quality with mean and median
 great-circle error, the fraction of errors within a threshold, and a
-log-scaled normalized area under the distance error curve. All functions
-here are pure and safe for concurrent use.
+log-scaled normalized area under the distance error curve. score_corpus
+aligns each document, pools the counts and distances over the corpus in
+document-id order (micro-averaging) and builds the report from the pool.
+All functions here are pure and safe for concurrent use.
 
 Degenerate denominators never raise: they yield 0 (or an absent value) and
 append a machine-readable note to the caller's warning list, so that long
@@ -28,8 +30,8 @@ DEFAULT_D_MAX_KM = 20039.0
 MATCH_MODES = ("exact", "overlap")
 
 # Names the scoring code in the score-cache key. Bump it with any change to the bytes of a report: to align,
-# distance_errors, build_report or the pooling in harness.evaluate. A stored score then misses instead of hiding
-# the change. tests/test_harness.py pins it together with the report bytes of a fixture run.
+# distance_errors, build_report or score_corpus. A stored score then misses instead of hiding the change.
+# tests/test_harness.py pins it together with the report bytes of a fixture run.
 SCORING_VERSION = 1
 
 # The serialized report: the JSON key of each metric and the EvalReport field it holds, then the counts, which
@@ -311,7 +313,7 @@ def distance_errors(matching: Matching, gold, pred, radius_km: float = EARTH_RAD
 
     Pairs whose prediction carries no point count as unresolved; pairs
     whose gold annotation carries no point cannot be scored and are
-    skipped and counted (see warn_missing_gold).
+    skipped and counted (score_corpus notes them in the report).
     """
     distances: list[float] = []
     unresolved = 0
@@ -327,12 +329,6 @@ def distance_errors(matching: Matching, gold, pred, radius_km: float = EARTH_RAD
             continue
         distances.append(geodesic_distance(g_point, p_point, radius_km))
     return DistanceErrors(distances, unresolved, missing_gold)
-
-
-def warn_missing_gold(count: int, warnings: list[str]) -> None:
-    """Note `count` matched pairs whose gold annotation had no point to score against."""
-    if count:
-        warnings.append(f"distance: {count} matched pairs skipped (gold annotation has no coordinates)")
 
 
 def mean_median(distances: list[float], warnings: list[str] | None = None) -> tuple[float | None, float | None]:
@@ -479,4 +475,34 @@ def build_report(
         geoparser=geoparser,
         corpus=corpus,
         config=config_note,
+    )
+
+
+def score_corpus(
+    documents, predictions, config: MetricsConfig, completeness: str, warnings: list[str], geoparser: str, corpus: str
+) -> EvalReport:
+    """Align and score each document, then pool them in document-id order (micro-averaging) into one report.
+
+    `predictions` maps each document id to its predicted toponyms. The
+    order the documents come in never changes the report. Matched pairs
+    whose gold annotation has no point are noted after `warnings`.
+    """
+    gold_count = pred_count = matched = unresolved = missing_gold = 0
+    distances: list[float] = []
+    for doc in sorted(documents, key=lambda d: d.id):
+        preds = predictions[doc.id]
+        matching = align(doc.gold, preds, config.match_mode)
+        errors = distance_errors(matching, doc.gold, preds, config.earth_radius_km)
+        gold_count += len(doc.gold)
+        pred_count += len(preds)
+        matched += len(matching.pairs)
+        unresolved += errors.unresolved_matched
+        missing_gold += errors.missing_gold_points
+        distances.extend(errors.distances)
+    if missing_gold:
+        warnings = [*warnings, f"distance: {missing_gold} matched pairs skipped (gold annotation has no coordinates)"]
+    return build_report(
+        gold_count=gold_count, pred_count=pred_count, matched=matched, unresolved_matched=unresolved,
+        distances=distances, config=config, completeness=completeness,
+        warnings=warnings, geoparser=geoparser, corpus=corpus,
     )

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import geobench
-from geobench import save_index
+from geobench import RunConfigError, load_run_config, save_index
 from geobench.cli import main
 from helpers import geonames_row, smoke_corpus_and_gazetteer, write_corpus_files
 
@@ -69,6 +70,15 @@ class TestIngest:
         bad.write_text('{"id": "a", "text": "hi"}\n{"id": "", "text": "hi"}\n')
         assert main(["ingest", "--corpus", str(bad)]) == 2
         assert "bad.jsonl:2: empty document id" in capsys.readouterr().err
+
+    def test_lone_surrogate_escape_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"id": "a", "text": "hi"}\n{"id": "b", "text": "hi \\ud800"}\n', encoding="utf-8")
+        assert main(["ingest", "--corpus", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"geobench: data error: {bad}:2: a string holds a lone surrogate (\\uD800-\\uDFFF), which UTF-8 cannot "
+            "encode (document 'b')\n"
+        )
 
 
 class TestGazetteerCommand:
@@ -357,6 +367,36 @@ class TestRunReportCompare:
         assert main(["run", "--config", str(run_setup), "--out", str(out)]) == 2
         err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("geobench:")]
         assert len(err) == 1 and err[0].startswith("geobench: data error: ") and str(out) in err[0]
+
+    def test_lone_surrogate_fails_cached_and_uncached_runs_alike(self, run_setup, tmp_path, capsys):
+        corpus_path = run_setup.parent / "demo.jsonl"
+        with open(corpus_path, "a", encoding="utf-8") as fh:
+            fh.write('{"id": "zz", "text": "hi \\ud800"}\n')
+        errors = []
+        for run, flags in (("cached", []), ("uncached", ["--no-cache"])):
+            assert main(["run", "--config", str(run_setup), "--out", str(tmp_path / run), *flags]) == 2
+            errors.append([line for line in capsys.readouterr().err.splitlines() if line.startswith("geobench:")])
+        assert errors[0] == errors[1]
+        assert errors[0] == [
+            f"geobench: data error: {corpus_path}:7: a string holds a lone surrogate (\\uD800-\\uDFFF), which UTF-8 "
+            "cannot encode (document 'zz')"
+        ]
+
+    @pytest.mark.parametrize("completeness", ["bogus", 5, None], ids=repr)
+    def test_bad_corpus_completeness_refuses_the_config_before_any_report(
+        self, run_setup, tmp_path, capsys, completeness
+    ):
+        raw = json.loads(run_setup.read_text(encoding="utf-8"))
+        path = raw["corpora"][0]["path"]
+        raw["corpora"] = [{"name": "a", "path": path}, {"name": "b", "path": path, "completeness": completeness}]
+        run_setup.write_text(json.dumps(raw), encoding="utf-8")
+        message = f"corpus 'b': completeness must be one of ('complete', 'partial'), got {completeness!r}"
+        with pytest.raises(RunConfigError, match=f"^{re.escape(message)}$"):
+            load_run_config(run_setup)
+        out = tmp_path / "run-dir"
+        assert main(["run", "--config", str(run_setup), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"geobench: data error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_worker_count_below_one_is_data_error(self, run_setup, tmp_path, capsys, workers):

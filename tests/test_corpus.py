@@ -185,6 +185,30 @@ class TestLoad:
             load_corpus(path, completeness)
         assert str(caught.value) == message.format(path=path)
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"id": "d2", "text": "hi \\ud800"}',
+            '{"id": "d2", "text": "hi \\uDFFF"}',
+            '{"id": "d2", "text": "hi", "toponyms": [{"start": 0, "end": 2, "name": "hi", "gazetteer_id": "\\udc00"}]}',
+        ],
+        ids=["high", "low-upper-case-hex", "gazetteer-id"],
+    )
+    def test_lone_surrogate_escape_is_refused_naming_line_and_document(self, tmp_path, record):
+        # UTF-8 refuses a literal surrogate, but a JSON escape of one decodes to a string no file or hash can encode
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": "d1", "text": "hi"}\n' + record + "\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError) as caught:
+            load_corpus(path)
+        assert str(caught.value) == (
+            f"{path}:2: a string holds a lone surrogate (\\uD800-\\uDFFF), which UTF-8 cannot encode (document 'd2')"
+        )
+
+    def test_surrogate_pair_and_escaped_backslash_load(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": "d1", "text": "\\ud83c\\udf0d \\\\ud800"}\n', encoding="utf-8")
+        assert load_corpus(path).documents[0].text == "\U0001F30D \\ud800"
+
     def test_bad_completeness_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_lines(path, [BERLIN_DOC])

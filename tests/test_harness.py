@@ -688,9 +688,52 @@ class TestRunBenchmark:
         caplog.clear()
         run_benchmark(config, tmp_path / "warm")
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
-        assert warnings == [f"corpus key {entry.name} corrupt; recomputing"]
+        assert warnings == [f"corpus key {entry.name} corrupt (not a corpus digest and a newline); recomputing"]
         assert entry.read_bytes() == remembered
         self.assert_same_run(tmp_path / "cold", tmp_path / "warm")
+
+    # each cache store: the name its log messages give an entry, and where its entries are under the cache directory
+    STORES = {"corpus key": "corpora/*", "cache entry": "*.jsonl", "score entry": "scores/*"}
+
+    @pytest.mark.parametrize("case", ["missing", "garbage", "directory", "unwritable-parent"])
+    @pytest.mark.parametrize("what", list(STORES))
+    def test_every_cache_store_keeps_the_one_entry_policy(self, tmp_path, caplog, what, case):
+        config = self.two_corpora_two_builtins(tmp_path)
+        cache = Path(config.cache_dir)
+        run_benchmark(config, tmp_path / "fresh", use_cache=False)
+        if case == "unwritable-parent":  # a file where the entries' directory goes: the cache itself for predictions
+            parent = cache if what == "cache entry" else cache / self.STORES[what].split("/")[0]
+            parent.parent.mkdir(parents=True, exist_ok=True)
+            parent.write_text("")
+        else:
+            run_benchmark(config, tmp_path / "cold")
+            if what == "cache entry":
+                shutil.rmtree(cache / "scores")  # else no evaluation reads a prediction-cache entry
+            entry = sorted(cache.glob(self.STORES[what]))[0]
+            stored = entry.read_bytes()
+            entry.unlink()
+            if case == "garbage":
+                entry.write_bytes(b"garbage\n")
+            elif case == "directory":
+                entry.mkdir()
+        caplog.clear()
+        run_benchmark(config, tmp_path / "run")
+        self.assert_same_run(tmp_path / "fresh", tmp_path / "run")
+        warnings = self.warnings(caplog)
+        if case == "missing":
+            assert warnings == []  # a silent miss
+            assert entry.read_bytes() == stored
+        elif case == "unwritable-parent":
+            assert all(" not written (" in w for w in warnings)
+            assert len([w for w in warnings if w.startswith(f"{what} ")]) == {"corpus key": 2}.get(what, 4)
+        else:
+            corrupt, *rest = warnings
+            assert corrupt.startswith(f"{what} {entry.name} corrupt (") and corrupt.endswith("); recomputing")
+            if case == "garbage":
+                assert rest == []
+                assert entry.read_bytes() == stored  # recomputed and stored again
+            else:  # the directory is still in the way of the recomputed entry
+                assert len(rest) == 1 and rest[0].startswith(f"{what} {entry.name} not written (")
 
     def test_corpus_key_of_a_non_canonical_file(self, tmp_path):
         corpus_path = tmp_path / "odd.jsonl"

@@ -7,7 +7,7 @@ from itertools import permutations
 import pytest
 
 from geobench import EvalReport, MetricsConfig
-from geobench.corpus import GeoPoint, GoldToponym
+from geobench.corpus import Document, GeoPoint, GoldToponym
 from geobench.geoparser import PredictedToponym
 from geobench.metrics import (
     accuracy_at_threshold,
@@ -17,7 +17,7 @@ from geobench.metrics import (
     distance_errors,
     geodesic_distance,
     mean_median,
-    warn_missing_gold,
+    score_corpus,
 )
 from helpers import reference_align_overlap
 
@@ -337,9 +337,11 @@ class TestDistanceErrors:
         errors = distance_errors(align(gold, pred), gold, pred)
         assert errors.distances == []
         assert errors.missing_gold_points == 1
-        warnings = []
-        warn_missing_gold(errors.missing_gold_points, warnings)
-        assert warnings == ["distance: 1 matched pairs skipped (gold annotation has no coordinates)"]
+        earlier = ["1 invalid predictions dropped"]
+        documents = [Document("d", "x" * 5, tuple(gold))]
+        report = score_corpus(documents, {"d": pred}, MetricsConfig(), "complete", earlier, "g", "c")
+        assert report.warnings[:2] == [*earlier, "distance: 1 matched pairs skipped (gold annotation has no coordinates)"]
+        assert earlier == ["1 invalid predictions dropped"]  # the caller's list is left as it was
 
     def test_against_haversine_oracle(self):
         rng = random.Random(29)
@@ -509,6 +511,49 @@ class TestBuildReport:
             gold_count=1, pred_count=1, matched=1, unresolved_matched=0, distances=[150.0], config=config
         )
         assert report.acc_at_161 == 0.0
+
+
+class TestScoreCorpus:
+    @staticmethod
+    def fold_by_hand(documents, predictions, config, completeness, warnings):
+        # each document's alignment and distance errors first, then sums over them in document-id order
+        ordered = sorted(documents, key=lambda d: d.id)
+        matchings = [align(d.gold, predictions[d.id], config.match_mode) for d in ordered]
+        errors = [
+            distance_errors(m, d.gold, predictions[d.id], config.earth_radius_km) for m, d in zip(matchings, ordered)
+        ]
+        missing = sum(e.missing_gold_points for e in errors)
+        if missing:
+            warnings = [*warnings, f"distance: {missing} matched pairs skipped (gold annotation has no coordinates)"]
+        return build_report(
+            gold_count=sum(len(d.gold) for d in ordered),
+            pred_count=sum(len(predictions[d.id]) for d in ordered),
+            matched=sum(len(m.pairs) for m in matchings),
+            unresolved_matched=sum(e.unresolved_matched for e in errors),
+            distances=[km for e in errors for km in e.distances],
+            config=config,
+            completeness=completeness,
+            warnings=warnings,
+            geoparser="g",
+            corpus="c",
+        )
+
+    @pytest.mark.parametrize("mode", ["exact", "overlap"])
+    def test_equals_the_per_document_results_folded_by_hand(self, mode):
+        rng = random.Random(41)
+        for trial in range(60):
+            documents, predictions = [], {}
+            for i in range(rng.randrange(0, 8)):
+                doc_id = f"d{rng.randrange(10**6)}-{i}"
+                documents.append(Document(doc_id, "x" * 120, tuple(make_gold(random_spans(rng, 6), rng, 0.7))))
+                predictions[doc_id] = make_pred(random_spans(rng, 6), rng, 0.7)
+            config = MetricsConfig(match_mode=mode, threshold_km=rng.choice([50.0, 161.0, 5000.0]))
+            completeness = rng.choice(["complete", "partial"])
+            warnings = rng.choice([[], ["2 invalid predictions dropped"]])
+            expected = self.fold_by_hand(documents, predictions, config, completeness, warnings).to_dict()
+            rng.shuffle(documents)  # pooled in document-id order, whatever order the documents come in
+            report = score_corpus(documents, predictions, config, completeness, warnings, "g", "c")
+            assert report.to_dict() == expected, trial
 
 
 class TestMetricsConfig:
