@@ -1,12 +1,13 @@
 """Evaluation runs: orchestration, prediction and score caches, leaderboards, rendering.
 
-evaluate() runs one geoparser over one corpus and scores it with
-metrics.score_corpus; run_benchmark() drives a whole RunConfig and writes
-reports and per-corpus leaderboards to a run directory. Reports are
-deterministic: documents are dispatched to workers in any order, and
-score_corpus pools them in document-id order, so worker count never
-changes output bytes. The three caches (corpus keys, predictions, scores)
-share one entry policy: _read_entry and _store.
+evaluate() runs one geoparser over one corpus and scores each document as
+its predictions arrive, from the parse or from the prediction cache, so no
+evaluation holds a corpus's predictions; run_benchmark() drives a whole
+RunConfig and writes reports and per-corpus leaderboards to a run
+directory. Reports are deterministic: documents are dispatched to workers
+in any order, and metrics.pool_outcomes pools their outcomes in document-id
+order, so worker count never changes output bytes. The three caches (corpus
+keys, predictions, scores) share one entry policy: _read_entry and _store.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from pathlib import Path
 
 from .adapters import AdapterError, AdapterProtocolError, parse_response
 from .corpus import (
+    _SURROGATE,
     Corpus,
     CorpusFormatError,
     check_completeness,
@@ -39,7 +41,15 @@ from .corpus import (
 )
 from .gazetteer import Gazetteer, GazetteerError, _check_schema, ingest_gazetteer, load_index
 from .geoparser import BUILTIN_VERSION, GeoparserSpec, PredictedToponym, create_geoparser
-from .metrics import REPORT_METRICS, SCORING_VERSION, EvalReport, MetricsConfig, score_corpus
+from .metrics import (
+    REPORT_METRICS,
+    SCORING_VERSION,
+    DocumentOutcome,
+    EvalReport,
+    MetricsConfig,
+    pool_outcomes,
+    score_document,
+)
 
 # Text/CSV column order for rendered leaderboards.
 METRIC_COLUMNS = ("precision", "recall", "f_score", "accuracy", "mean", "median", "auc", "acc_at_161")
@@ -103,6 +113,13 @@ class RunConfig:
                 f"corpus names and geoparser identifiers must give distinct file names; several evaluations would "
                 f"write reports/{shared[0]}"
             )
+        # a report and a leaderboard hold these names, and no UTF-8 file can hold a lone surrogate
+        for what, values in (("corpus name", names), ("geoparser identifier", ids)):
+            for value in values:
+                if _SURROGATE.search(value):
+                    raise RunConfigError(
+                        f"{what} {value!r} holds a lone surrogate (\\uD800-\\uDFFF), which UTF-8 cannot encode"
+                    )
         if self.gazetteer_schema != "index":
             try:
                 _check_schema(self.gazetteer_schema)
@@ -282,41 +299,57 @@ def _prediction_to_wire(p: PredictedToponym) -> dict:
     return out
 
 
-def cache_predictions(corpus: Corpus, predictions: dict[str, list[PredictedToponym]], path: Path) -> bool:
-    """Store per-document predictions at `path` (a _cache_path) in adapter-response format: whether they were."""
-    lines = (
-        json.dumps(
-            {"id": doc.id, "toponyms": [_prediction_to_wire(p) for p in predictions[doc.id]]},
-            ensure_ascii=False,
-            sort_keys=True,
-        )
-        + "\n"
-        for doc in corpus.documents
-    )
-    return _store(path, lines, "cache entry")
+class _Unstored(Exception):
+    """Ends the lines of a parse that must leave no cache entry; _store then removes its temporary file."""
 
 
-def load_cached(corpus: Corpus, path: Path) -> dict[str, list[PredictedToponym]] | None:
-    """Reload the predictions cached at `path` (a _cache_path), or None on a miss or a corrupt entry (_read_entry).
+def cache_predictions(parsed, path: Path, warnings: list[str]) -> bool:
+    """Store each (document, predictions) of `parsed` at `path` (a _cache_path) as it arrives: whether they were.
 
-    The file holds one adapter response per document, in corpus order, and
-    is read one line at a time through the adapters' decoder. A line count
-    or id that does not match the corpus, or any dropped prediction, makes
-    the entry corrupt.
+    Each document becomes one adapter response line in a temporary file
+    beside `path` (_store). The file becomes the entry only if `warnings` is
+    still empty once `parsed` ends, so that a hit reproduces a warning-free
+    parse; a parse with warnings, or one that raises, leaves neither entry
+    nor temporary file. A failed write stops reading `parsed` early, and the
+    caller reads the rest.
     """
 
-    def decode(fh) -> dict[str, list[PredictedToponym]]:
-        loaded = {}
+    def lines():
+        for doc, predictions in parsed:
+            toponyms = [_prediction_to_wire(p) for p in predictions]
+            yield json.dumps({"id": doc.id, "toponyms": toponyms}, ensure_ascii=False, sort_keys=True) + "\n"
+        if warnings:
+            raise _Unstored
+
+    try:
+        return _store(path, lines(), "cache entry")
+    except _Unstored:
+        return False
+
+
+def load_cached(corpus: Corpus, path: Path, config: MetricsConfig) -> list[DocumentOutcome] | None:
+    """Score the predictions cached at `path` (a _cache_path): their outcomes, or None on a miss or a corrupt entry.
+
+    The file holds one adapter response per document, in corpus order, and
+    is read one line at a time through the adapters' decoder; each line is
+    scored, and its predictions dropped, before the next is read. A line
+    count or id that does not match the corpus, or any dropped prediction,
+    makes the entry corrupt (_read_entry), and the outcomes scored so far are
+    discarded.
+    """
+
+    def decode(fh) -> list[DocumentOutcome]:
+        outcomes = []
         # zip takes the next document first, so it stops before reading a line past the last document
         for doc, line in zip(corpus.documents, fh):
             predictions, dropped = parse_response(doc, line)
             if dropped:
                 raise ValueError(f"{dropped} invalid predictions for {doc.id!r}")
-            loaded[doc.id] = predictions
-        count = len(loaded) + sum(1 for _ in fh)
+            outcomes.append(score_document(doc, predictions, config))
+        count = len(outcomes) + sum(1 for _ in fh)
         if count != len(corpus.documents):
             raise ValueError(f"{count} lines for {len(corpus.documents)} documents")
-        return loaded
+        return outcomes
 
     return _read_entry(path, "cache entry", decode)
 
@@ -325,14 +358,17 @@ def load_cached(corpus: Corpus, path: Path) -> dict[str, list[PredictedToponym]]
 # Evaluation
 
 
-def _parse_all(spec, corpus, gazetteer, workers) -> tuple[dict[str, list[PredictedToponym]], list[str]]:
-    """Parse every document under the failure policy; returns ({doc_id: predictions}, warnings).
+def _parse_all(spec, corpus, gazetteer, workers, warnings: list[str]):
+    """Yield (document, predictions) for every document, in corpus order, under the failure policy.
 
-    A failed document scores as zero predictions and is named in the
-    warnings, as is a count of dropped predictions; if more than
-    FAILURE_ABORT_FRACTION fail, an AdapterError cites the lowest failed id.
-    Each worker thread lazily creates its own geoparser, so no two threads
-    share a child; the builtin, CPU-bound, parses on the calling thread.
+    A failed document yields zero predictions. Once the last one is yielded,
+    the policy runs: if more than FAILURE_ABORT_FRACTION failed, an
+    AdapterError cites the lowest failed id; otherwise the failed ids, and a
+    count of dropped predictions, go into `warnings`. The builtin, CPU-bound,
+    parses on the calling thread, as does any geoparser at one worker. With
+    more, worker threads parse ahead through pool.map, each lazily creating
+    its own geoparser so that no two threads share a child, and hand the
+    documents back in corpus order as the caller takes them.
     """
     local = threading.local()
     instances = []
@@ -350,33 +386,42 @@ def _parse_all(spec, corpus, gazetteer, workers) -> tuple[dict[str, list[Predict
     def work(doc):
         try:
             predictions, dropped = get_parser().parse_document(doc)
-            return doc.id, (predictions, dropped, None)
+            return doc, predictions, dropped, None
         except AdapterError as exc:
-            return doc.id, ([], 0, str(exc))
+            return doc, [], 0, str(exc)
 
+    errors: dict[str, str] = {}
+    dropped_total = 0
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 and spec.kind != "builtin-baseline" else None
     try:
-        if workers <= 1 or spec.kind == "builtin-baseline":
-            results = dict(work(doc) for doc in corpus.documents)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = dict(pool.map(work, corpus.documents))
+        for doc, predictions, dropped, error in (map if pool is None else pool.map)(work, corpus.documents):
+            if error is not None:
+                errors[doc.id] = error
+            dropped_total += dropped
+            yield doc, predictions
     finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)  # a caller that stops early leaves no document to parse
         for parser in instances:
             parser.close()
-    failed = sorted(doc_id for doc_id, (_, _, err) in results.items() if err is not None)
+    failed = sorted(errors)
     if len(failed) > FAILURE_ABORT_FRACTION * len(corpus.documents):
         raise AdapterError(
             f"geoparser {spec.identifier!r} failed on {len(failed)}/{len(corpus.documents)} documents "
-            f"of corpus {corpus.name!r} (first error: {results[failed[0]][2]})"
+            f"of corpus {corpus.name!r} (first error: {errors[failed[0]]})"
         )
-    warnings = []
     if failed:
         shown = ", ".join(failed[:10]) + (", ..." if len(failed) > 10 else "")
         warnings.append(f"{len(failed)} documents failed and scored zero predictions: {shown}")
-    dropped_total = sum(dropped for _, dropped, _ in results.values())
     if dropped_total:
         warnings.append(f"{dropped_total} invalid predictions dropped")
-    return {doc_id: preds for doc_id, (preds, _, _) in results.items()}, warnings
+
+
+def _scored(parsed, config: MetricsConfig, outcomes: list[DocumentOutcome]):
+    """Pass on each (document, predictions) of `parsed` once its outcome is in `outcomes`."""
+    for doc, predictions in parsed:
+        outcomes.append(score_document(doc, predictions, config))
+        yield doc, predictions
 
 
 def evaluate(
@@ -389,27 +434,32 @@ def evaluate(
     workers: int = 1,
     corpus_hash: str | None = None,
 ) -> EvalReport:
-    """Run one geoparser over one corpus and score it: cache lookup, _parse_all on a miss, score_corpus, store.
+    """Run one geoparser over one corpus and score it, one document at a time, then pool the outcomes.
 
+    The predictions come from the prediction cache (load_cached) or, on a
+    miss, from _parse_all, written to the cache as they arrive
+    (cache_predictions). Either way each document is scored as its
+    predictions arrive and they are then dropped, so an evaluation never
+    holds a corpus's predictions; metrics.pool_outcomes folds the outcomes.
     With a `cache_dir`, a warning-free parse is stored, and the report is
     stored as a score entry whenever its predictions are in the prediction
     cache, so never beside a parse that one timeout made. `corpus_hash` is
     the corpus's `corpus_digest`, for callers that evaluate it several times.
     """
     config = config or MetricsConfig()
-    predictions = cache_path = None
+    outcomes = cache_path = None
     warnings: list[str] = []
     if cache_dir is not None:
         cache_path = _cache_path(cache_dir, spec, corpus.name, corpus_hash or corpus_digest(corpus), gazetteer)
-        predictions = load_cached(corpus, cache_path)
-    cached = predictions is not None
+        outcomes = load_cached(corpus, cache_path, config)
+    cached = outcomes is not None
     if not cached:
-        predictions, warnings = _parse_all(spec, corpus, gazetteer, workers)
-        # only a warning-free parse, so that a hit reproduces this report
-        cached = cache_path is not None and not warnings and cache_predictions(corpus, predictions, cache_path)
-    report = score_corpus(
-        corpus.documents, predictions, config, corpus.completeness, warnings, spec.identifier, corpus.name
-    )
+        outcomes = []
+        parsed = _scored(_parse_all(spec, corpus, gazetteer, workers, warnings), config, outcomes)
+        cached = cache_path is not None and cache_predictions(parsed, cache_path, warnings)
+        for _ in parsed:  # the documents no store took: without a cache, or after a failed write
+            pass
+    report = pool_outcomes(outcomes, config, corpus.completeness, warnings, spec.identifier, corpus.name)
     if cached:
         stored = json.dumps(report.to_dict(), sort_keys=True) + "\n"
         _store(_score_path(cache_path, config, corpus.completeness), [stored], "score entry")

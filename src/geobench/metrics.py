@@ -3,10 +3,12 @@
 Recognition quality is scored with precision/recall/F1 (or accuracy alone
 for partially annotated corpora); resolution quality with mean and median
 great-circle error, the fraction of errors within a threshold, and a
-log-scaled normalized area under the distance error curve. score_corpus
-aligns each document, pools the counts and distances over the corpus in
-document-id order (micro-averaging) and builds the report from the pool.
-All functions here are pure and safe for concurrent use.
+log-scaled normalized area under the distance error curve. score_document
+aligns one document and keeps only its outcome: counts and km distances,
+no predictions. pool_outcomes folds a corpus's outcomes in document-id
+order (micro-averaging) and builds the report from the pool, so a caller
+can score each document as its predictions arrive and drop them. All
+functions here are pure and safe for concurrent use.
 
 Degenerate denominators never raise: they yield 0 (or an absent value) and
 append a machine-readable note to the caller's warning list, so that long
@@ -30,7 +32,8 @@ DEFAULT_D_MAX_KM = 20039.0
 MATCH_MODES = ("exact", "overlap")
 
 # Names the scoring code in the score-cache key. Bump it with any change to the bytes of a report: to align,
-# distance_errors, build_report or score_corpus. A stored score then misses instead of hiding the change.
+# distance_errors, build_report, score_document or pool_outcomes. A stored score then misses instead of hiding the
+# change.
 # tests/test_harness.py pins it together with the report bytes of a fixture run.
 SCORING_VERSION = 1
 
@@ -82,6 +85,18 @@ class DistanceErrors(NamedTuple):
     distances: list[float]
     unresolved_matched: int
     missing_gold_points: int
+
+
+class DocumentOutcome(NamedTuple):
+    """What one document adds to its corpus's report: its counts and its km distances in pair order."""
+
+    doc_id: str
+    gold: int
+    predicted: int
+    matched: int
+    unresolved_matched: int
+    missing_gold_points: int
+    distances: list[float]
 
 
 def _check_sorted(spans, side: str) -> None:
@@ -313,7 +328,7 @@ def distance_errors(matching: Matching, gold, pred, radius_km: float = EARTH_RAD
 
     Pairs whose prediction carries no point count as unresolved; pairs
     whose gold annotation carries no point cannot be scored and are
-    skipped and counted (score_corpus notes them in the report).
+    skipped and counted (pool_outcomes notes them in the report).
     """
     distances: list[float] = []
     unresolved = 0
@@ -478,27 +493,35 @@ def build_report(
     )
 
 
-def score_corpus(
-    documents, predictions, config: MetricsConfig, completeness: str, warnings: list[str], geoparser: str, corpus: str
-) -> EvalReport:
-    """Align and score each document, then pool them in document-id order (micro-averaging) into one report.
+def score_document(document, predictions, config: MetricsConfig) -> DocumentOutcome:
+    """Align one document's predictions with its gold toponyms and keep the outcome, which holds no prediction."""
+    matching = align(document.gold, predictions, config.match_mode)
+    errors = distance_errors(matching, document.gold, predictions, config.earth_radius_km)
+    return DocumentOutcome(
+        document.id, len(document.gold), len(predictions), len(matching.pairs),
+        errors.unresolved_matched, errors.missing_gold_points, errors.distances,
+    )
 
-    `predictions` maps each document id to its predicted toponyms. The
-    order the documents come in never changes the report. Matched pairs
-    whose gold annotation has no point are noted after `warnings`.
+
+def pool_outcomes(
+    outcomes, config: MetricsConfig, completeness: str, warnings: list[str], geoparser: str, corpus: str
+) -> EvalReport:
+    """Pool the documents' outcomes in document-id order (micro-averaging) into one report.
+
+    The order the outcomes come in never changes the report: auc_distance
+    sums floats in list order, so the distances are pooled by document id.
+    Matched pairs whose gold annotation has no point are noted after
+    `warnings`.
     """
     gold_count = pred_count = matched = unresolved = missing_gold = 0
     distances: list[float] = []
-    for doc in sorted(documents, key=lambda d: d.id):
-        preds = predictions[doc.id]
-        matching = align(doc.gold, preds, config.match_mode)
-        errors = distance_errors(matching, doc.gold, preds, config.earth_radius_km)
-        gold_count += len(doc.gold)
-        pred_count += len(preds)
-        matched += len(matching.pairs)
-        unresolved += errors.unresolved_matched
-        missing_gold += errors.missing_gold_points
-        distances.extend(errors.distances)
+    for outcome in sorted(outcomes, key=lambda o: o.doc_id):
+        gold_count += outcome.gold
+        pred_count += outcome.predicted
+        matched += outcome.matched
+        unresolved += outcome.unresolved_matched
+        missing_gold += outcome.missing_gold_points
+        distances.extend(outcome.distances)
     if missing_gold:
         warnings = [*warnings, f"distance: {missing_gold} matched pairs skipped (gold annotation has no coordinates)"]
     return build_report(

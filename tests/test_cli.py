@@ -279,6 +279,28 @@ class TestRunReportCompare:
         assert "several evaluations would write reports/news_web__baseline.json" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["identifier", "corpus name", "manifest name"])
+    def test_lone_surrogate_in_a_name_is_data_error_before_the_run(self, run_setup, tmp_path, capsys, where):
+        # a report and a leaderboard hold these names, and `geobench report` could not write them out
+        raw = json.loads(run_setup.read_text(encoding="utf-8"))
+        if where == "identifier":
+            raw["geoparsers"][0]["identifier"] = "base\ud800line"
+            named = "geoparser identifier 'base\\ud800line'"
+        elif where == "corpus name":
+            raw["corpora"][0]["name"] = "c\ud800x"
+            named = "corpus name 'c\\ud800x'"
+        else:
+            manifest = run_setup.parent / raw["corpora"][0]["manifest"]
+            manifest.write_text(json.dumps({"name": "c\ud800x", "completeness": "complete"}), encoding="utf-8")
+            named = "corpus name 'c\\ud800x'"
+        run_setup.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(run_setup), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"geobench: data error: {named} holds a lone surrogate (\\uD800-\\uDFFF), which UTF-8 cannot encode\n"
+        )
+        assert not out.exists()
+
     def test_zero_timeout_is_data_error(self, tmp_path, capsys):
         corpus, _ = smoke_corpus_and_gazetteer(2, name="demo")
         corpus_path, _ = write_corpus_files(corpus, tmp_path)

@@ -10,7 +10,16 @@ import unicodedata
 
 import pytest
 
-from geobench import CorpusFormatError, GazetteerError, evaluate, ingest_gazetteer, load_corpus, load_index, save_index
+from geobench import (
+    CorpusFormatError,
+    GazetteerError,
+    MetricsConfig,
+    evaluate,
+    ingest_gazetteer,
+    load_corpus,
+    load_index,
+    save_index,
+)
 from geobench.cli import main
 from geobench.corpus import Corpus, Document, GeoPoint
 from geobench import gazetteer as gazetteer_module
@@ -650,7 +659,7 @@ class TestBuildCost:
             (gc.enable if caller_enabled else gc.disable)()
             for load, error in (
                 (lambda: load_corpus(corpus_path), CorpusFormatError),
-                (lambda: load_cached(corpus, cache_file), None),  # a corrupt entry is a miss, not an error
+                (lambda: load_cached(corpus, cache_file, MetricsConfig()), None),  # a corrupt entry is a miss
                 (lambda: ingest_gazetteer(tsv), GazetteerError),
                 (lambda: load_index(index).columns, GazetteerError),  # the first use parses the body
             ):

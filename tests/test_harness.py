@@ -6,6 +6,7 @@ import json
 import os
 import re
 import shutil
+import weakref
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from geobench import (
     run_benchmark,
     save_index,
 )
+from geobench.adapters import ProcessGeoparser
 from geobench.corpus import Corpus, Document
 from geobench.geoparser import BUILTIN_VERSION, BuiltinGeoparser
 from geobench.harness import (
@@ -38,7 +40,7 @@ from geobench.harness import (
     load_cached,
     load_leaderboards,
 )
-from geobench.metrics import SCORING_VERSION, align
+from geobench.metrics import SCORING_VERSION, align, score_document
 from geobench import gazetteer as gazetteer_module
 from geobench import harness as harness_module
 from helpers import (
@@ -170,17 +172,80 @@ class TestFailurePolicy:
         assert any("2 documents failed" in w for w in report.warnings)
         assert report.predicted == 0
 
-    def test_abort_above_ten_percent(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("cache", [False, True], ids=["no-cache", "cache"])
+    def test_abort_above_ten_percent(self, tmp_path, cache, workers):
         corpus, _ = smoke_corpus_and_gazetteer(20)
         fail_ids = [d.id for d in corpus.documents[:3]]  # 15%
         spec = GeoparserSpec("external-process", "flaky", {"command": flaky_child(tmp_path, fail_ids)})
-        with pytest.raises(AdapterError, match="failed on 3/20"):
-            evaluate(spec, corpus)
+        cache_dir = tmp_path / "cache" if cache else None
+        with pytest.raises(AdapterError) as caught:
+            evaluate(spec, corpus, cache_dir=cache_dir, workers=workers)
+        assert str(caught.value) == (
+            "geoparser 'flaky' failed on 3/20 documents of corpus 'smoke' "
+            "(first error: response is not valid JSON: Expecting value: line 1 column 1 (char 0))"
+        )
+        assert not [p for p in tmp_path.rglob("*") if p.is_file() and p.parent != tmp_path]  # no entry, no .tmp
+
+
+class Tracked(list):
+    """A document's predictions, counted while they are alive."""
+
+
+class PredictionCensus:
+    """Counts the Tracked prediction lists alive, noting the count whenever the next document's are about to be made."""
+
+    def __init__(self):
+        self.alive = 0
+        self.before_each = []
+
+    def _dropped(self):
+        self.alive -= 1
+
+    def wrap(self, make):
+        """`make`, returning (predictions, dropped), with its predictions Tracked."""
+
+        def made(*args):
+            self.before_each.append(self.alive)
+            predictions, dropped = make(*args)
+            tracked = Tracked(predictions)
+            self.alive += 1
+            weakref.finalize(tracked, self._dropped)
+            return tracked, dropped
+
+        return made
+
+
+class TestOneDocumentAtATime:
+    @pytest.mark.parametrize("source", ["builtin", "external", "cache hit"])
+    def test_at_most_one_documents_predictions_are_alive(self, tmp_path, monkeypatch, source):
+        corpus, gazetteer = smoke_corpus_and_gazetteer(12)
+        spec = replay_spec(tmp_path, gold_replay_fixture(corpus)) if source == "external" else BUILTIN
+        expected = evaluate(spec, corpus, gazetteer, cache_dir=tmp_path / "cache")
+        census = PredictionCensus()
+        if source == "cache hit":
+            monkeypatch.setattr(harness_module, "parse_response", census.wrap(harness_module.parse_response))
+            monkeypatch.setattr(harness_module, "_parse_all", lambda *a, **k: pytest.fail("prediction cache missed"))
+            cache_dir = tmp_path / "cache"
+        else:  # parsed on the calling thread, the external geoparser at one worker
+            owner = ProcessGeoparser if source == "external" else BuiltinGeoparser
+            monkeypatch.setattr(owner, "parse_document", census.wrap(owner.parse_document))
+            cache_dir = tmp_path / "other-cache"
+        assert evaluate(spec, corpus, gazetteer, cache_dir=cache_dir, workers=1) == expected
+        assert len(census.before_each) == len(corpus.documents)
+        # only the document before, whose predictions the caller still holds while it asks for the next
+        assert max(census.before_each) == 1
+        assert census.alive == 0
 
 
 def builtin_cache_path(cache_dir, corpus, gazetteer):
     """The prediction-cache file that evaluate reads and writes for BUILTIN on this corpus and gazetteer."""
     return _cache_path(cache_dir, BUILTIN, corpus.name, corpus_digest(corpus), gazetteer)
+
+
+def store_predictions(corpus, predictions, path):
+    """cache_predictions of a warning-free parse that made `predictions` ({doc_id: predictions})."""
+    return cache_predictions(((doc, predictions[doc.id]) for doc in corpus.documents), path, [])
 
 
 class TestCache:
@@ -189,40 +254,53 @@ class TestCache:
         parser = BuiltinGeoparser(gazetteer)
         predictions = {doc.id: parser.parse_document(doc)[0] for doc in corpus.documents}
         path = builtin_cache_path(tmp_path, corpus, gazetteer)
-        cache_predictions(corpus, predictions, path)
-        loaded = load_cached(corpus, path)
-        assert loaded == predictions  # entry ids and points survive the round trip
+        assert store_predictions(corpus, predictions, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        decoded = {doc.id: harness_module.parse_response(doc, line) for doc, line in zip(corpus.documents, lines)}
+        assert decoded == {doc_id: (p, 0) for doc_id, p in predictions.items()}  # entry ids and points survive
+        config = MetricsConfig()
+        expected = [score_document(doc, predictions[doc.id], config) for doc in corpus.documents]
+        assert load_cached(corpus, path, config) == expected
 
     def test_corpus_edit_is_a_miss(self, tmp_path):
         corpus, gazetteer = smoke_corpus_and_gazetteer(3)
-        predictions = {doc.id: [] for doc in corpus.documents}
-        cache_predictions(corpus, predictions, builtin_cache_path(tmp_path, corpus, gazetteer))
+        nothing = {doc.id: [] for doc in corpus.documents}
+        store_predictions(corpus, nothing, builtin_cache_path(tmp_path, corpus, gazetteer))
         edited_docs = (corpus.documents[0],) + tuple(
             Document(d.id, d.text + "!", d.gold, d.source) for d in corpus.documents[1:]
         )
         edited = Corpus(corpus.name, edited_docs, corpus.completeness)
-        assert load_cached(edited, builtin_cache_path(tmp_path, edited, gazetteer)) is None
+        assert load_cached(edited, builtin_cache_path(tmp_path, edited, gazetteer), MetricsConfig()) is None
 
     def test_gazetteer_digest_in_builtin_key(self, tmp_path):
         corpus, gazetteer = smoke_corpus_and_gazetteer(3)
         _, other_gazetteer = smoke_corpus_and_gazetteer(4)
-        predictions = {doc.id: [] for doc in corpus.documents}
-        cache_predictions(corpus, predictions, builtin_cache_path(tmp_path, corpus, gazetteer))
-        assert load_cached(corpus, builtin_cache_path(tmp_path, corpus, other_gazetteer)) is None
+        nothing = {doc.id: [] for doc in corpus.documents}
+        store_predictions(corpus, nothing, builtin_cache_path(tmp_path, corpus, gazetteer))
+        assert load_cached(corpus, builtin_cache_path(tmp_path, corpus, other_gazetteer), MetricsConfig()) is None
 
-    def test_corrupt_line_recomputes_with_warning(self, tmp_path, caplog):
+    @pytest.mark.parametrize("line", [1, -1], ids=["middle", "last"])
+    def test_corrupt_line_recomputes_with_warning(self, tmp_path, caplog, line):
         corpus, gazetteer = smoke_corpus_and_gazetteer(3)
         first = evaluate(BUILTIN, corpus, gazetteer, cache_dir=tmp_path)
         cache_file = next(tmp_path.glob("*.jsonl"))
+        stored = cache_file.read_bytes()
         lines = cache_file.read_text().splitlines()
-        lines[1] = "{broken"
+        lines[line] = "{broken"
         cache_file.write_text("\n".join(lines) + "\n")
+        caplog.clear()
         report = evaluate(BUILTIN, corpus, gazetteer, cache_dir=tmp_path)
-        assert any("corrupt" in r.getMessage() for r in caplog.records)
+        assert [r.getMessage() for r in caplog.records if "corrupt" in r.getMessage()] == [
+            f"cache entry {cache_file.name} corrupt (response is not valid JSON: "
+            "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)); recomputing"
+        ]
         assert report == first  # recomputed; the warning is logged, never part of the report
+        no_cache = evaluate(BUILTIN, corpus, gazetteer)
+        assert json.dumps(report.to_dict(), sort_keys=True) == json.dumps(no_cache.to_dict(), sort_keys=True)
+        assert cache_file.read_bytes() == stored  # the entry was rewritten
         caplog.clear()
         evaluate(BUILTIN, corpus, gazetteer, cache_dir=tmp_path)
-        assert not caplog.records  # the cache was rewritten
+        assert not caplog.records
 
     @pytest.mark.parametrize("edit", ["swap", "cut", "extra"])
     def test_reordered_or_truncated_file_is_corrupt(self, tmp_path, caplog, edit):
@@ -239,17 +317,23 @@ class TestCache:
             assert f"({count} lines for 4 documents)" in caplog.records[0].getMessage()
         assert report == evaluate(BUILTIN, corpus, gazetteer)
 
-    def test_hit_keeps_the_dropped_prediction_warning(self, tmp_path):
-        corpus, _ = smoke_corpus_and_gazetteer(3)
+    @pytest.mark.parametrize("failed", [0, 1], ids=["dropped", "dropped-and-failed"])
+    def test_hit_keeps_the_dropped_prediction_warning(self, tmp_path, failed):
+        corpus, _ = smoke_corpus_and_gazetteer(10)
         fixture = gold_replay_fixture(corpus)
-        for items in fixture.values():
+        for items in list(fixture.values())[:3]:
             items.append({"start": 0, "end": 10**6, "name": "out of bounds"})
+        if failed:  # 1 of 10 documents, at the abort limit
+            fixture[corpus.documents[6].id] = "not a list"
         spec = replay_spec(tmp_path, fixture)
-        fresh = evaluate(spec, corpus, cache_dir=tmp_path / "cache")
-        again = evaluate(spec, corpus, cache_dir=tmp_path / "cache")
-        assert "3 invalid predictions dropped" in fresh.warnings
-        assert again.to_dict() == fresh.to_dict()
-        assert not list((tmp_path / "cache").glob("*"))  # only a warning-free parse is stored
+        fresh = json.dumps(evaluate(spec, corpus).to_dict(), sort_keys=True)
+        assert "3 invalid predictions dropped" in fresh
+        assert ("1 documents failed and scored zero predictions: " in fresh) is bool(failed)
+        for workers in (1, 4, 1):
+            again = evaluate(spec, corpus, cache_dir=tmp_path / "cache", workers=workers)
+            assert json.dumps(again.to_dict(), sort_keys=True) == fresh
+            # only a warning-free parse is stored: no entry, no temporary file, no score
+            assert not [p for p in (tmp_path / "cache").rglob("*") if p.is_file()]
 
     def test_unwritable_cache_dir_is_logged_not_fatal(self, tmp_path, caplog):
         corpus, gazetteer = smoke_corpus_and_gazetteer(3)

@@ -17,7 +17,8 @@ from geobench.metrics import (
     distance_errors,
     geodesic_distance,
     mean_median,
-    score_corpus,
+    pool_outcomes,
+    score_document,
 )
 from helpers import reference_align_overlap
 
@@ -339,7 +340,8 @@ class TestDistanceErrors:
         assert errors.missing_gold_points == 1
         earlier = ["1 invalid predictions dropped"]
         documents = [Document("d", "x" * 5, tuple(gold))]
-        report = score_corpus(documents, {"d": pred}, MetricsConfig(), "complete", earlier, "g", "c")
+        outcomes = [score_document(documents[0], pred, MetricsConfig())]
+        report = pool_outcomes(outcomes, MetricsConfig(), "complete", earlier, "g", "c")
         assert report.warnings[:2] == [*earlier, "distance: 1 matched pairs skipped (gold annotation has no coordinates)"]
         assert earlier == ["1 invalid predictions dropped"]  # the caller's list is left as it was
 
@@ -513,7 +515,7 @@ class TestBuildReport:
         assert report.acc_at_161 == 0.0
 
 
-class TestScoreCorpus:
+class TestPoolOutcomes:
     @staticmethod
     def fold_by_hand(documents, predictions, config, completeness, warnings):
         # each document's alignment and distance errors first, then sums over them in document-id order
@@ -552,7 +554,8 @@ class TestScoreCorpus:
             warnings = rng.choice([[], ["2 invalid predictions dropped"]])
             expected = self.fold_by_hand(documents, predictions, config, completeness, warnings).to_dict()
             rng.shuffle(documents)  # pooled in document-id order, whatever order the documents come in
-            report = score_corpus(documents, predictions, config, completeness, warnings, "g", "c")
+            outcomes = [score_document(d, predictions[d.id], config) for d in documents]
+            report = pool_outcomes(outcomes, config, completeness, warnings, "g", "c")
             assert report.to_dict() == expected, trial
 
 
