@@ -15,6 +15,7 @@ import gc
 import json
 import logging
 import sys
+from dataclasses import asdict, replace
 
 from .adapters import AdapterError
 from .corpus import CorpusFormatError, corpus_stats, load_corpus, load_manifest
@@ -84,22 +85,8 @@ def _cmd_ingest(args) -> int:
     else:
         name, completeness = None, args.completeness
     corpus = load_corpus(args.corpus, completeness, name)
-    stats = corpus_stats(corpus)
-    print(
-        json.dumps(
-            {
-                "name": corpus.name,
-                "completeness": corpus.completeness,
-                "document_count": stats.document_count,
-                "toponym_count": stats.toponym_count,
-                "mean_tokens_per_document": stats.mean_tokens_per_document,
-                "toponyms_with_coordinates": stats.toponyms_with_coordinates,
-                "valid": True,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    )
+    summary = {"name": corpus.name, "completeness": corpus.completeness, **asdict(corpus_stats(corpus)), "valid": True}
+    print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -134,8 +121,6 @@ def _cmd_gazetteer(args) -> int:
 def _cmd_run(args) -> int:
     config = load_run_config(args.config)
     if args.match_mode:
-        from dataclasses import replace
-
         config = replace(config, metrics=replace(config.metrics, match_mode=args.match_mode))
     run_benchmark(config, args.out, workers=args.workers, use_cache=not args.no_cache)
     print(f"run written to {args.out}", file=sys.stderr)

@@ -69,12 +69,15 @@ class GazetteerEntry:
 class PlaceColumns:
     """Places as parallel columns, one row per place, in the order they were read.
 
+    `__slots__` names the nine columns in the one order every row of them
+    takes: `append`, `fields`, `in_id_order` and a digest row's fields.
     Ids, coordinates and populations are held unboxed; the three
     low-cardinality columns hold interned strings. A GazetteerEntry is
     built from a row only when a caller asks for one.
     """
 
     __slots__ = ("ids", "names", "alternates", "lat", "lon", "feature_class", "feature_code", "population", "country")
+    _columns = property(operator.attrgetter(*__slots__))  # the nine columns, in that order
 
     def __init__(self):
         self.ids = array("q")
@@ -87,35 +90,21 @@ class PlaceColumns:
         self.population = array("q")
         self.country: list[str] = []
 
-    def _columns(self) -> tuple:
-        # in the order of a digest row's fields
-        return (
-            self.ids,
-            self.names,
-            self.alternates,
-            self.lat,
-            self.lon,
-            self.feature_class,
-            self.feature_code,
-            self.population,
-            self.country,
-        )
-
     def __len__(self) -> int:
         return len(self.ids)
 
     def append(self, *fields) -> None:
-        """Add a row: id, name, alternates, lat, lon, feature class, feature code, population, country."""
-        for column, value in zip(self._columns(), fields, strict=True):
+        """Add a row: its values in column order."""
+        for column, value in zip(self._columns, fields, strict=True):
             column.append(value)
 
     def fields(self, row: int) -> tuple:
-        """A row's values, in the order `append` takes them."""
-        return tuple(column[row] for column in self._columns())
+        """A row's values, in column order."""
+        return tuple(column[row] for column in self._columns)
 
     def entries(self, rows) -> list[GazetteerEntry]:
         """A new GazetteerEntry for each of `rows`, in their order."""
-        ids, names, alternates, lat, lon, fcl, fco, population, country = self._columns()
+        ids, names, alternates, lat, lon, fcl, fco, population, country = self._columns
         return [
             GazetteerEntry(
                 ids[r], names[r], alternates[r], GeoPoint(lat[r], lon[r]), fcl[r], fco[r], population[r], country[r]
@@ -123,22 +112,13 @@ class PlaceColumns:
             for r in rows
         ]
 
-    def ascending(self) -> bool:
-        """Whether the ids ascend with the row numbers."""
+    def in_id_order(self) -> Iterator[tuple]:
+        """Each row's values, as `fields` gives them, in ascending id order: row order if the ids already ascend."""
         ids = self.ids
-        return all(map(operator.lt, ids, islice(ids, 1, None)))
-
-    def id_order(self) -> list[int] | None:
-        """The row numbers in ascending id order, or None if the rows already are in it."""
-        if self.ascending():
-            return None
-        return sorted(range(len(self.ids)), key=self.ids.__getitem__)
-
-    def in_id_order(self, order: list[int] | None) -> Iterator[tuple]:
-        """Each row's values, as `fields` gives them, in the order `id_order` returned."""
-        if order is None:
-            return zip(*self._columns())
-        return zip(*(map(column.__getitem__, order) for column in self._columns()))
+        if all(map(operator.lt, ids, islice(ids, 1, None))):
+            return zip(*self._columns)
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        return zip(*(map(column.__getitem__, order) for column in self._columns))
 
 
 @dataclass(slots=True)
@@ -176,31 +156,32 @@ class Gazetteer:
     every normalized primary and alternate name to the rows of the places
     carrying it, in ascending id order so that tie-breaking is
     reproducible; it is built on the first `lookup` or use of `index`, and
-    a run never builds it. A gazetteer loaded from a saved index reads its
-    rows from the file and parses them into columns on first use as well.
-    GazetteerEntry values are built, through their constructor and anew on
-    each call, only for `entries`, `lookup` and
+    a run never builds it. `ingest_gazetteer`, `load_index` and
+    `from_entries` all build through the one constructor. A gazetteer
+    loaded from a saved index (`index_body`: the file's path and body
+    offset, with `columns` None) knows its `digest` from the header, and
+    reads its rows from the file and parses them into columns on first use
+    as well. GazetteerEntry values are built, through their constructor and
+    anew on each call, only for `entries`, `lookup` and
     `geoparser.resolve_population`; a run reads the columns.
     """
 
-    def __init__(self, columns: PlaceColumns, fold_diacritics: bool):
+    def __init__(
+        self,
+        columns: PlaceColumns | None,
+        fold_diacritics: bool,
+        *,
+        digest: str | None = None,
+        index_body: tuple[str, int] | None = None,
+    ):
         self.fold_diacritics = fold_diacritics
-        self._digest: str | None = None
+        self._digest = digest
+        # None is "not built yet": a loaded index's columns are derived on first use, like every other table
         self._derived: dict = {"columns": columns}
         # reentrant: the lexicon and the name index read `columns`, which may itself be parsed on first use, and
         # the head table reads the lexicon; a run derives only the lexicon and the head table, never the index
         self._derive_lock = threading.RLock()
-        # a loaded index's path and body offset: where its rows are read from on first use
-        self._index_body: tuple[str, int] | None = None
-
-    @classmethod
-    def _from_index_body(cls, source: str, offset: int, fold_diacritics: bool, digest: str) -> "Gazetteer":
-        """A gazetteer whose digest is known and whose rows are read and parsed on first use of `columns`."""
-        gazetteer = cls(PlaceColumns(), fold_diacritics)
-        del gazetteer._derived["columns"]
-        gazetteer._digest = digest
-        gazetteer._index_body = (source, offset)
-        return gazetteer
+        self._index_body = index_body  # where a loaded index's rows are read from on first use
 
     @property
     def columns(self) -> PlaceColumns:
@@ -343,8 +324,7 @@ class Gazetteer:
         """
         if self._digest is None:
             h = _digest_hasher(self.fold_diacritics)
-            columns = self.columns
-            for line in _digest_rows(columns.in_id_order(columns.id_order())):
+            for line in _digest_rows(self.columns.in_id_order()):
                 h.update(line.encode("utf-8"))
             self._digest = h.hexdigest()
         return self._digest
@@ -363,18 +343,9 @@ def _digest_rows(places) -> Iterator[str]:
         yield f"{entry_id}\t{name}\t{','.join(alternates)}\t{lat!r}\t{lon!r}\t{fcl}\t{fco}\t{population}\t{country}\n"
 
 
-# The fields of a digest row, as a column map for the row parser.
-_DIGEST_COLUMNS = {
-    "id": 0,
-    "name": 1,
-    "alternates": 2,
-    "lat": 3,
-    "lon": 4,
-    "feature_class": 5,
-    "feature_code": 6,
-    "population": 7,
-    "country": 8,
-}
+# The fields of a digest row as a column map for the row parser: the columns in `__slots__` order, under the
+# column-map keys ("id" and "name" hold the "ids" and "names" columns).
+_DIGEST_COLUMNS = {key: i for i, key in enumerate(("id", "name", *PlaceColumns.__slots__[2:]))}
 
 
 def _check_schema(schema) -> dict:
@@ -449,7 +420,7 @@ def _read_rows(lines, cols: dict, stats: IngestStats) -> PlaceColumns:
     columns = PlaceColumns()
     # one bound append per column: this loop runs for every row of the table
     add_id, add_name, add_alternates, add_lat, add_lon, add_fcl, add_fco, add_population, add_country = (
-        column.append for column in columns._columns()
+        column.append for column in columns._columns
     )
     last = _INT64_MIN - 1  # the last id accepted while the ids ascend
     seen: set[int] | None = None  # every id accepted, once they have not ascended
@@ -572,12 +543,11 @@ def save_index(gazetteer: Gazetteer, path: str | Path) -> None:
     a comma).
     """
     columns = gazetteer.columns
-    order = columns.id_order()
-    rows = list(_digest_rows(columns.in_id_order(order)))
+    rows = list(_digest_rows(columns.in_id_order()))
     # all checked before the file is opened, so a refused entry leaves no partial index
     reread = _read_rows(rows, _DIGEST_COLUMNS, IngestStats())
     # the rows are in id order, so each row read back sits at its own position until the first that does not
-    for position, (place, line) in enumerate(zip(columns.in_id_order(order), rows)):
+    for position, (place, line) in enumerate(zip(columns.in_id_order(), rows)):
         if line.count("\n") != 1 or position >= len(reread) or reread.fields(position) != place:
             raise GazetteerError(f"entry {place[0]} cannot be saved: its fields do not survive an index row")
     body = "".join(rows).encode("utf-8")
@@ -594,11 +564,12 @@ def load_index(path: str | Path) -> Gazetteer:
 
     The body is hashed straight from the file, in chunks, and checked
     against the digest in the header; a file that fails the check is
-    refused. The gazetteer keeps only the path, the body's offset, the fold
-    flag and the digest, so a caller that needs only `digest()` holds none
-    of the body. On first use of the columns, the body is
-    read again, checked against the digest once more (a file changed since
-    the load is refused) and parsed.
+    refused. The gazetteer comes from the one `Gazetteer` constructor, with
+    no columns: it keeps only the path, the body's offset, the fold flag and
+    the digest, so a caller that needs only `digest()` holds none of the
+    body. On first use of the columns, the body is read again, checked
+    against the digest once more (a file changed since the load is refused)
+    and parsed.
     """
     try:
         with open(path, "rb") as fh:
@@ -625,4 +596,4 @@ def load_index(path: str | Path) -> Gazetteer:
         raise GazetteerError(f"{path}: malformed index rows: the body does not match the digest in its header")
     if digest == _digest_hasher(fold).hexdigest():  # the digest of an empty body
         raise GazetteerError(f"no entries in index file {path}")
-    return Gazetteer._from_index_body(str(path), offset, fold, digest)
+    return Gazetteer(None, fold, digest=digest, index_body=(str(path), offset))

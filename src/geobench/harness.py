@@ -19,11 +19,12 @@ import os
 import re
 import tempfile
 import threading
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from io import StringIO
+from itertools import islice
 from pathlib import Path
 
 from .adapters import AdapterError, AdapterProtocolError, parse_response
@@ -54,6 +55,10 @@ from .metrics import (
 # Text/CSV column order for rendered leaderboards.
 METRIC_COLUMNS = ("precision", "recall", "f_score", "accuracy", "mean", "median", "auc", "acc_at_161")
 
+# Documents a worker thread may parse ahead of the caller that scores them: enough to keep the threads busy while
+# the caller scores, few enough that the parsed and unscored predictions stay a handful per worker.
+LOOKAHEAD_PER_WORKER = 4
+
 # More than this fraction of documents failing aborts the run; at or below
 # it, failed documents score as zero predictions and are listed in warnings.
 FAILURE_ABORT_FRACTION = 0.10
@@ -75,6 +80,11 @@ class CorpusSource:
     name: str
     path: str
     completeness: str = "complete"
+
+
+# The run-config JSON's "gazetteer" object: each key and the RunConfig field it holds. Every other RunConfig field
+# is the top-level key of its name.
+_GAZETTEER_KEYS = {"path": "gazetteer_path", "schema": "gazetteer_schema", "fold_diacritics": "fold_diacritics"}
 
 
 @dataclass(frozen=True)
@@ -174,11 +184,11 @@ def load_run_config(path: str | Path) -> RunConfig:
             geoparsers.append(GeoparserSpec(kind=item["kind"], identifier=item["identifier"], parameters=parameters))
         metrics = MetricsConfig(**raw.get("metrics", {}))
         cache_dir = raw.get("cache_dir")
+        gazetteer = {name: gaz[key] for key, name in _GAZETTEER_KEYS.items() if key in gaz}
+        gazetteer["gazetteer_path"] = _resolve(gaz["path"])
         return RunConfig(
             corpora=tuple(corpora),
-            gazetteer_path=_resolve(gaz["path"]),
-            gazetteer_schema=gaz.get("schema", "geonames"),
-            fold_diacritics=gaz.get("fold_diacritics", False),
+            **gazetteer,
             geoparsers=tuple(geoparsers),
             metrics=metrics,
             cache_dir=_resolve(cache_dir) if cache_dir else None,
@@ -277,13 +287,25 @@ def _score_path(prediction_path: Path, config: MetricsConfig, completeness: str)
     return prediction_path.parent / "scores" / hashlib.sha256(key.encode()).hexdigest()
 
 
-def _stored_report(identifier: str, corpus_name: str, fh) -> EvalReport:
-    # a score entry's report, if it reads back as exactly that report and names this geoparser and corpus: a
-    # prediction-cache file name, and so a score key, is shared by names that differ only in what _safe_name replaces
-    raw = json.loads(fh.read())
+def _checked_report(raw) -> EvalReport:
+    """The report `raw` holds, if it reads back as exactly it, with string names and number-or-null metrics."""
+    # the one check of a stored report: a score entry's and a leaderboard row's
     report = EvalReport.from_dict(raw)
     if report.to_dict() != raw:
         raise ValueError("not a report as geobench writes it")
+    if not all(isinstance(name, str) for name in (report.geoparser, report.corpus)):
+        raise TypeError("a corpus name or geoparser id is not a string")
+    for key, name in REPORT_METRICS.items():
+        value = getattr(report, name)
+        if value is not None and not is_json_number(value):
+            raise TypeError(f"geoparser {report.geoparser!r}: {key} must be a number or null, got {value!r}")
+    return report
+
+
+def _stored_report(identifier: str, corpus_name: str, fh) -> EvalReport:
+    # a score entry's report, if it passes _checked_report and names this geoparser and corpus: a prediction-cache
+    # file name, and so a score key, is shared by names that differ only in what _safe_name replaces
+    report = _checked_report(json.loads(fh.read()))
     if (report.geoparser, report.corpus) != (identifier, corpus_name):
         raise ValueError(f"the report of {report.geoparser!r} on {report.corpus!r}")
     return report
@@ -366,9 +388,10 @@ def _parse_all(spec, corpus, gazetteer, workers, warnings: list[str]):
     AdapterError cites the lowest failed id; otherwise the failed ids, and a
     count of dropped predictions, go into `warnings`. The builtin, CPU-bound,
     parses on the calling thread, as does any geoparser at one worker. With
-    more, worker threads parse ahead through pool.map, each lazily creating
-    its own geoparser so that no two threads share a child, and hand the
-    documents back in corpus order as the caller takes them.
+    more, worker threads parse at most LOOKAHEAD_PER_WORKER documents each
+    ahead of the caller (_in_window), each lazily creating its own geoparser
+    so that no two threads share a child, and hand the documents back in
+    corpus order as the caller takes them.
     """
     local = threading.local()
     instances = []
@@ -394,7 +417,8 @@ def _parse_all(spec, corpus, gazetteer, workers, warnings: list[str]):
     dropped_total = 0
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 and spec.kind != "builtin-baseline" else None
     try:
-        for doc, predictions, dropped, error in (map if pool is None else pool.map)(work, corpus.documents):
+        results = map(work, corpus.documents) if pool is None else _in_window(pool, work, corpus.documents, workers)
+        for doc, predictions, dropped, error in results:
             if error is not None:
                 errors[doc.id] = error
             dropped_total += dropped
@@ -415,6 +439,21 @@ def _parse_all(spec, corpus, gazetteer, workers, warnings: list[str]):
         warnings.append(f"{len(failed)} documents failed and scored zero predictions: {shown}")
     if dropped_total:
         warnings.append(f"{dropped_total} invalid predictions dropped")
+
+
+def _in_window(pool: ThreadPoolExecutor, work, documents, workers: int):
+    """pool.map(work, documents), with at most LOOKAHEAD_PER_WORKER * `workers` documents submitted and not taken.
+
+    The next document is submitted as each result is taken, so a caller
+    that scores slower than the workers parse never holds a corpus's
+    predictions, only the window's.
+    """
+    documents = iter(documents)
+    window = deque(pool.submit(work, doc) for doc in islice(documents, LOOKAHEAD_PER_WORKER * workers))
+    while window:
+        result = window.popleft().result()
+        window.extend(pool.submit(work, doc) for doc in islice(documents, 1))
+        yield result
 
 
 def _scored(parsed, config: MetricsConfig, outcomes: list[DocumentOutcome]):
@@ -550,7 +589,10 @@ def leaderboard_to_dict(board: Leaderboard) -> dict:
 
 
 def leaderboard_from_dict(raw: dict) -> Leaderboard:
-    rows = tuple((row["geoparser"], EvalReport.from_dict(row["report"])) for row in raw["rows"])
+    rows = [(row["geoparser"], row["report"]) for row in raw["rows"]]
+    if not all(isinstance(name, str) for name in (raw["corpus"], *(identifier for identifier, _ in rows))):
+        raise TypeError("a corpus name or geoparser id is not a string")
+    rows = tuple((identifier, _checked_report(report)) for identifier, report in rows)
     return Leaderboard(corpus=raw["corpus"], ordering_key=raw["ordering_key"], rows=rows)
 
 
@@ -657,25 +699,14 @@ def run_benchmark(
         board = compare(rows, source.completeness)
         boards[source.name] = board
         _dump_json(leaderboard_to_dict(board), out / "leaderboards" / f"{_safe_name(source.name)}.json")
-    _dump_json(
-        {
-            "corpora": [{"name": c.name, "path": c.path, "completeness": c.completeness} for c in config.corpora],
-            "gazetteer": {"path": config.gazetteer_path, "schema": config.gazetteer_schema,
-                          "fold_diacritics": config.fold_diacritics},
-            "geoparsers": [
-                {"kind": g.kind, "identifier": g.identifier, "parameters": g.parameters} for g in config.geoparsers
-            ],
-            "metrics": config.metrics.to_dict(),
-            "cache_dir": config.cache_dir,
-            "parallelism": workers,
-        },
-        out / "run_config.json",
-    )
+    echo = asdict(config)
+    echo["gazetteer"] = {key: echo.pop(name) for key, name in _GAZETTEER_KEYS.items()}
+    _dump_json(echo, out / "run_config.json")
     return boards
 
 
 def load_leaderboards(run_dir: str | Path) -> dict[str, Leaderboard]:
-    """Read the leaderboards written by run_benchmark."""
+    """Read the leaderboards written by run_benchmark; each row's report gets the score entries' check."""
     boards = {}
     board_dir = Path(run_dir) / "leaderboards"
     if not board_dir.is_dir():
@@ -683,13 +714,6 @@ def load_leaderboards(run_dir: str | Path) -> dict[str, Leaderboard]:
     for path in sorted(board_dir.glob("*.json")):
         try:
             board = leaderboard_from_dict(json.loads(path.read_bytes()))
-            if not all(isinstance(name, str) for name in (board.corpus, *(row[0] for row in board.rows))):
-                raise TypeError("a corpus name or geoparser id is not a string")
-            for identifier, report in board.rows:
-                for key, name in REPORT_METRICS.items():
-                    value = getattr(report, name)
-                    if value is not None and not is_json_number(value):
-                        raise TypeError(f"geoparser {identifier!r}: {key} must be a number or null, got {value!r}")
         except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
             raise RunConfigError(f"malformed leaderboard {path}: {exc!r}") from None
         boards[board.corpus] = board

@@ -157,8 +157,12 @@ class TestRunReportCompare:
             '{"corpus": "demo", "ordering_key": "f_score", "rows": [[]]}',
             '{"corpus": 5, "ordering_key": "f_score", "rows": []}',
             '{"corpus": "demo", "ordering_key": "f_score", "rows": [{"geoparser": 5, "report": {}}]}',
+            '{"corpus": "demo", "ordering_key": "f_score", "rows": [{"geoparser": "baseline", "report": '
+            '{"recall": 1.0, "f_score": 1.0, "accuracy": 1.0, "mean": 0.0, "median": 0.0, "acc_at_161": 1.0, '
+            '"auc": 0.0, "warnings": [], "geoparser": "baseline", "corpus": "demo", "config": {}}}]}',
         ],
-        ids=["no-rows", "not-an-object", "row-not-an-object", "corpus-number", "geoparser-number"],
+        ids=["no-rows", "not-an-object", "row-not-an-object", "corpus-number", "geoparser-number",
+             "report-without-precision-and-counts"],
     )
     def test_malformed_leaderboard_is_data_error_naming_the_file(self, run_setup, tmp_path, capsys, command, content):
         out = tmp_path / "run-dir"

@@ -6,6 +6,8 @@ import json
 import os
 import re
 import shutil
+import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -198,18 +200,22 @@ class PredictionCensus:
     def __init__(self):
         self.alive = 0
         self.before_each = []
+        self._lock = threading.Lock()  # worker threads make predictions, and any thread may drop them
 
     def _dropped(self):
-        self.alive -= 1
+        with self._lock:
+            self.alive -= 1
 
     def wrap(self, make):
         """`make`, returning (predictions, dropped), with its predictions Tracked."""
 
         def made(*args):
-            self.before_each.append(self.alive)
+            with self._lock:
+                self.before_each.append(self.alive)
             predictions, dropped = make(*args)
             tracked = Tracked(predictions)
-            self.alive += 1
+            with self._lock:
+                self.alive += 1
             weakref.finalize(tracked, self._dropped)
             return tracked, dropped
 
@@ -235,6 +241,21 @@ class TestOneDocumentAtATime:
         assert len(census.before_each) == len(corpus.documents)
         # only the document before, whose predictions the caller still holds while it asks for the next
         assert max(census.before_each) == 1
+        assert census.alive == 0
+
+    def test_workers_parse_a_bounded_window_ahead_of_a_slow_scorer(self, tmp_path, monkeypatch):
+        workers = 4
+        corpus, gazetteer = smoke_corpus_and_gazetteer(60)
+        spec = replay_spec(tmp_path, gold_replay_fixture(corpus))
+        expected = evaluate(spec, corpus, gazetteer)
+        census = PredictionCensus()
+        monkeypatch.setattr(ProcessGeoparser, "parse_document", census.wrap(ProcessGeoparser.parse_document))
+        score = harness_module.score_document
+        monkeypatch.setattr(harness_module, "score_document", lambda *args: time.sleep(0.005) or score(*args))
+        assert evaluate(spec, corpus, gazetteer, cache_dir=tmp_path / "cache", workers=workers) == expected
+        assert len(census.before_each) == len(corpus.documents)
+        # parsed and not yet scored: at most 4 documents per worker (README), and the one the caller still holds
+        assert max(census.before_each) <= 4 * workers + 1
         assert census.alive == 0
 
 
@@ -685,6 +706,20 @@ class TestRunBenchmark:
         second = (tmp_path / "w8" / "reports" / "demo__baseline.json").read_bytes()
         assert first == second
 
+    @pytest.mark.parametrize("workers", [None, 3], ids=["config-parallelism", "workers-override"])
+    def test_run_config_echo_reloads_as_the_effective_config(self, tmp_path, workers):
+        from dataclasses import replace
+
+        config = replace(
+            self.two_corpora_two_builtins(tmp_path),
+            fold_diacritics=True,
+            metrics=MetricsConfig(match_mode="overlap", threshold_km=100.0),
+            parallelism=2,
+        )
+        run_benchmark(config, tmp_path / "run", workers=workers)
+        effective = replace(config, parallelism=workers or config.parallelism)
+        assert load_run_config(tmp_path / "run" / "run_config.json") == effective
+
     def two_corpora_two_builtins(self, tmp_path, cache=True):
         from dataclasses import replace
 
@@ -950,7 +985,9 @@ class TestRunBenchmark:
                 echo.write_text(text.replace(f'"parallelism": {workers}\n', '"parallelism": 1\n'), encoding="utf-8")
                 self.assert_same_run(tmp_path / "cold-w1", tmp_path / run)
 
-    @pytest.mark.parametrize("damage", ["none", "scores-deleted", "truncated", "no-counts", "other-corpus"])
+    @pytest.mark.parametrize(
+        "damage", ["none", "scores-deleted", "truncated", "no-counts", "other-corpus", "precision-not-a-number"]
+    )
     def test_damaged_score_entries_fall_back_to_the_predictions(self, tmp_path, monkeypatch, caplog, damage):
         import shutil
 
@@ -968,6 +1005,8 @@ class TestRunBenchmark:
             entry.write_text(json.dumps({k: v for k, v in raw.items() if k != "counts"}), encoding="utf-8")
         elif damage == "other-corpus":
             entry.write_text(json.dumps({**json.loads(stored[entry.name]), "corpus": "other"}), encoding="utf-8")
+        elif damage == "precision-not-a-number":  # reads back as itself, but no leaderboard could hold it
+            entry.write_text(json.dumps({**json.loads(stored[entry.name]), "precision": "abc"}), encoding="utf-8")
         self.refuse_parsing(monkeypatch)
         caplog.clear()
         run_benchmark(config, tmp_path / "warm")
